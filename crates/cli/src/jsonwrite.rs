@@ -1,137 +1,15 @@
-//! Deterministic hand-rolled JSON writing.
+//! Deterministic JSON renderings of the CLI's reports.
 //!
-//! The vendored `serde_json` pretty-printer is fine for humans but its
-//! output is not something we want CI or the serving loop to depend on:
-//! machine-readable surfaces (`drill --json`, the `pipette serve`
+//! Machine-readable surfaces (`drill --json`, the `pipette serve`
 //! response stream) need byte-stable output under a writer this repo
-//! controls. This module renders with a fixed field order, shortest
-//! round-trip floats, and no whitespace — the same conventions as the
-//! `pipette-obs` event writer — so identical inputs always produce
-//! byte-identical JSON.
+//! controls, not the vendored `serde_json` pretty-printer. These
+//! renderers build on the shared [`Obj`] writer: fixed field order,
+//! shortest round-trip floats, no whitespace — so identical inputs
+//! always produce byte-identical JSON.
 
-use crate::jsonscan::JsonValue;
 use crate::report::DrillReport;
+use pipette_obs::json::Obj;
 use std::fmt::Write as _;
-
-/// Minimal JSON object writer with a fixed field order.
-pub(crate) struct Obj<'a> {
-    out: &'a mut String,
-}
-
-impl<'a> Obj<'a> {
-    pub(crate) fn open(out: &'a mut String) -> Self {
-        out.push('{');
-        Self { out }
-    }
-
-    pub(crate) fn key(&mut self, name: &str) {
-        if !self.out.ends_with('{') {
-            self.out.push(',');
-        }
-        push_json_string(self.out, name);
-        self.out.push(':');
-    }
-
-    pub(crate) fn uint(&mut self, name: &str, v: u64) {
-        self.key(name);
-        let _ = write!(self.out, "{v}");
-    }
-
-    pub(crate) fn float(&mut self, name: &str, v: f64) {
-        self.key(name);
-        push_f64(self.out, v);
-    }
-
-    pub(crate) fn boolean(&mut self, name: &str, v: bool) {
-        self.key(name);
-        self.out.push_str(if v { "true" } else { "false" });
-    }
-
-    pub(crate) fn string(&mut self, name: &str, v: &str) {
-        self.key(name);
-        push_json_string(self.out, v);
-    }
-
-    /// Writes a pre-rendered JSON value (object, array, `null`) verbatim.
-    pub(crate) fn raw(&mut self, name: &str, v: &str) {
-        self.key(name);
-        self.out.push_str(v);
-    }
-
-    pub(crate) fn close(self) {
-        self.out.push('}');
-    }
-}
-
-/// Shortest-round-trip float; non-finite values become `null` (JSON has
-/// no NaN/Inf).
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
-}
-
-pub(crate) fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Renders a parsed [`JsonValue`] back to canonical single-line JSON:
-/// source key order, no whitespace, shortest round-trip numbers. Used to
-/// re-render envelope subtrees (`job`, `faults`) into standalone
-/// documents for the strict spec parsers, and as the canonical form
-/// hashed for the profiled-bandwidth store.
-pub fn render_value(value: &JsonValue) -> String {
-    let mut out = String::new();
-    push_value(&mut out, value);
-    out
-}
-
-fn push_value(out: &mut String, value: &JsonValue) {
-    match value {
-        JsonValue::Null => out.push_str("null"),
-        JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        JsonValue::Number(n) => push_f64(out, *n),
-        JsonValue::String(s) => push_json_string(out, s),
-        JsonValue::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                push_value(out, item);
-            }
-            out.push(']');
-        }
-        JsonValue::Object(members) => {
-            out.push('{');
-            for (i, (k, v)) in members.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                push_json_string(out, k);
-                out.push(':');
-                push_value(out, v);
-            }
-            out.push('}');
-        }
-    }
-}
 
 /// Renders a [`CliReport`](crate::report::CliReport) as one
 /// deterministic JSON object — the `result` payload of serve responses
@@ -208,17 +86,17 @@ pub fn drill_report_json(report: &DrillReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jsonscan;
+    use pipette_obs::json::{self, render_value};
 
     #[test]
     fn render_value_round_trips_canonically() {
         let src = r#"{"b": 1, "a": [true, null, "x\n"], "n": -2.5}"#;
-        let parsed = jsonscan::parse(src).unwrap();
+        let parsed = json::parse(src).unwrap();
         let rendered = render_value(&parsed);
         // Source key order, no whitespace, shortest floats.
         assert_eq!(rendered, r#"{"b":1,"a":[true,null,"x\n"],"n":-2.5}"#);
         // Canonical form is a fixed point.
-        let reparsed = jsonscan::parse(&rendered).unwrap();
+        let reparsed = json::parse(&rendered).unwrap();
         assert_eq!(render_value(&reparsed), rendered);
     }
 
@@ -251,7 +129,7 @@ mod tests {
             slowdown_factor: Some(1.4),
             degraded_requests: 0,
         };
-        let json = drill_report_json(&report);
+        let text = drill_report_json(&report);
         for needle in [
             r#""recommendation":{"pp":2,"tp":2,"dp":3"#,
             r#""mapping":[0,2,1]"#,
@@ -263,9 +141,9 @@ mod tests {
             r#""slowdown_factor":1.4"#,
             r#""degraded_requests":0"#,
         ] {
-            assert!(json.contains(needle), "missing {needle} in {json}");
+            assert!(text.contains(needle), "missing {needle} in {text}");
         }
-        // The writer's output parses back under the strict scanner.
-        assert!(jsonscan::parse(&json).is_ok());
+        // The writer's output parses back under the strict parser.
+        assert!(json::parse(&text).is_ok());
     }
 }

@@ -11,9 +11,16 @@
 //!   training against its deadline budget, and both record
 //!   `mem_train … cached=true`;
 //! - a profiled-bandwidth store: the `gpus·(gpus−1)`-pair sweep runs
-//!   once per distinct cluster and is attached via `with_profiled`; a
-//!   synthetic `profile` span (with the full pair cost) keeps each
-//!   per-request trace shaped like a one-shot run's.
+//!   once per distinct `(cluster, seed)` and is attached via
+//!   `with_profiled`; a synthetic `profile` span (with the full pair
+//!   cost) keeps each per-request trace shaped like a one-shot run's.
+//!   The store is cleared when it holds `PROFILED_CAP` entries, so a
+//!   long-lived daemon stays bounded; profiling is deterministic in the
+//!   seed, so a re-measured entry is bit-identical.
+//!
+//! Requests are parsed once with the shared `pipette_obs::json` parser;
+//! the `job` and `faults` members are decoded in place by the same strict
+//! decoders the CLI uses on spec files.
 //!
 //! Degradation: when the serve loop's circuit breaker is open, requests
 //! arrive with `ctx.degraded = true` and `configure` ops are forced onto
@@ -25,13 +32,13 @@
 //! shortest-round-trip floats): identical request lines yield
 //! byte-identical responses at any worker count.
 
-use crate::jsonscan::{self, JsonValue};
-use crate::jsonwrite::{self, push_json_string, Obj};
+use crate::jsonwrite;
 use crate::report::{self, CliReport};
-use crate::spec::{parse_fault_plan_strict, JobSpec};
+use crate::spec::{fault_plan_from_json, JobSpec, SpecError};
 use pipette::memory::{SweepReport, TrainedEstimatorCache};
 use pipette::{ConfigureError, DeadlineReport, Pipette};
 use pipette_cluster::{FaultPlan, ProfiledBandwidth, ProfilingCost};
+use pipette_obs::json::{self, push_json_string, render_value, JsonValue, Obj};
 use pipette_obs::{CostUnit, Trace, TraceConfig};
 use pipette_serve::{
     run_pipe, Control, ExecContext, Execution, ParseOutcome, RequestHandler, ServeSummary,
@@ -61,6 +68,10 @@ pub struct ServeJob {
     want_trace: bool,
     profile_key: u64,
 }
+
+/// Most profiled-bandwidth entries a [`PipetteHandler`] keeps before it
+/// clears its store; each entry holds a `gpus × gpus` bandwidth matrix.
+const PROFILED_CAP: usize = 64;
 
 /// The configurator-backed [`RequestHandler`].
 pub struct PipetteHandler {
@@ -93,10 +104,11 @@ impl PipetteHandler {
         )
     }
 
-    /// The profiled bandwidth matrix for this job's cluster, measured at
-    /// most once per distinct `(cluster, seed)` and shared across
-    /// requests. Profiling is deterministic in the seed, so a racing
-    /// double-measure inserts identical values.
+    /// The profiled bandwidth matrix for this job's cluster, measured
+    /// once per distinct `(cluster, seed)` while it stays in the store,
+    /// and shared across requests. Profiling is deterministic in the
+    /// seed, so a racing double-measure, or a re-measure after the store
+    /// was cleared at [`PROFILED_CAP`], yields identical values.
     fn profiled_for(
         &self,
         cluster: &pipette_cluster::Cluster,
@@ -112,8 +124,11 @@ impl PipetteHandler {
         let measured = cluster
             .profiler()
             .profile(cluster.bandwidth(), job.spec.seed);
-        self.lock_profiled()
-            .insert(job.profile_key, (measured.0.clone(), measured.1));
+        let mut store = self.lock_profiled();
+        if store.len() >= PROFILED_CAP {
+            store.clear();
+        }
+        store.insert(job.profile_key, (measured.0.clone(), measured.1));
         measured
     }
 
@@ -354,22 +369,21 @@ impl RequestHandler for PipetteHandler {
     type Job = ServeJob;
 
     fn parse(&self, line: &str) -> ParseOutcome<ServeJob> {
-        let doc = match jsonscan::parse(line) {
+        let doc = match json::parse(line) {
             Ok(d) => d,
             Err(e) => return ParseOutcome::Error(format!("invalid JSON: {e}")),
         };
-        if !matches!(doc, JsonValue::Object(_)) {
+        let JsonValue::Object(members) = &doc else {
             return ParseOutcome::Error(format!(
                 "request must be a JSON object, got {}",
                 doc.type_name()
             ));
-        }
-        for key in doc.keys() {
-            if !["id", "op", "job", "faults", "deadline_units", "trace"].contains(&key) {
-                return ParseOutcome::Error(format!(
-                    "unknown field {key:?} (allowed: {ENVELOPE_FIELDS})"
-                ));
-            }
+        };
+        let allowed = ["id", "op", "job", "faults", "deadline_units", "trace"];
+        if let Some((key, _)) = members.iter().find(|(k, _)| !allowed.contains(&k.as_str())) {
+            return ParseOutcome::Error(format!(
+                "unknown field {key:?} (allowed: {ENVELOPE_FIELDS})"
+            ));
         }
         let op = match doc.get("op") {
             Some(JsonValue::String(s)) => s.clone(),
@@ -406,17 +420,15 @@ impl RequestHandler for PipetteHandler {
         let Some(job_doc) = doc.get("job") else {
             return ParseOutcome::Error(format!("op {op:?} requires a \"job\" spec"));
         };
-        let spec = match JobSpec::parse_strict(&jsonwrite::render_value(job_doc)) {
+        let spec = match JobSpec::from_json(job_doc) {
             Ok(s) => s,
             Err(e) => return ParseOutcome::Error(format!("job: {e}")),
         };
         let faults = match (kind, doc.get("faults")) {
-            (OpKind::Drill, Some(f)) => {
-                match parse_fault_plan_strict(&jsonwrite::render_value(f)) {
-                    Ok(p) => Some(p),
-                    Err(e) => return ParseOutcome::Error(format!("faults: {e}")),
-                }
-            }
+            (OpKind::Drill, Some(f)) => match fault_plan_from_json(f) {
+                Ok(p) => Some(p),
+                Err(e) => return ParseOutcome::Error(format!("faults: {e}")),
+            },
             (OpKind::Drill, None) => {
                 return ParseOutcome::Error("op \"drill\" requires a \"faults\" plan".to_string())
             }
@@ -551,19 +563,19 @@ pub fn run_drill_serve(
 ) -> Result<(Vec<String>, ServeSummary), Box<dyn Error>> {
     // Validate up front so a bad file is one clean error, not a typed
     // per-request failure for every day of the timeline.
-    JobSpec::parse_strict(spec_text)?;
-    let plan = parse_fault_plan_strict(fault_text)?;
-    let job_doc = jsonscan::parse(spec_text)?;
-    let fault_doc = jsonscan::parse(fault_text)?;
-    let job_json = jsonwrite::render_value(&job_doc);
+    let job_doc = json::parse(spec_text).map_err(SpecError::from)?;
+    JobSpec::from_json(&job_doc)?;
+    let fault_doc = json::parse(fault_text).map_err(SpecError::from)?;
+    let plan = fault_plan_from_json(&fault_doc)?;
+    let job_json = render_value(&job_doc);
 
     let days = plan.drift.as_ref().map_or(0, |d| d.day);
     let mut input = String::new();
     for day in 0..=days {
         let faults_json = if plan.drift.is_some() {
-            jsonwrite::render_value(&with_drift_day(&fault_doc, day))
+            render_value(&with_drift_day(&fault_doc, day))
         } else {
-            jsonwrite::render_value(&fault_doc)
+            render_value(&fault_doc)
         };
         let mut line = String::new();
         let mut o = Obj::open(&mut line);
@@ -605,7 +617,7 @@ mod tests {
         "memory_training_iterations": 200}"#;
 
     fn envelope(op: &str, extra: &str) -> String {
-        let job = jsonwrite::render_value(&jsonscan::parse(JOB).unwrap());
+        let job = render_value(&json::parse(JOB).unwrap());
         format!("{{\"op\":\"{op}\",\"job\":{job}{extra}}}")
     }
 
@@ -668,20 +680,46 @@ mod tests {
     }
 
     #[test]
+    fn profiled_store_is_bounded_and_eviction_keeps_responses() {
+        let handler = PipetteHandler::new();
+        let ctx = ExecContext {
+            seq: 0,
+            degraded: false,
+        };
+        let request = || match handler.parse(&envelope("configure", ",\"trace\":true")) {
+            ParseOutcome::Job { job, .. } => job,
+            other => panic!("expected job, got {other:?}"),
+        };
+        let first = handler.execute(request(), &ctx).response;
+
+        // Fill the store past its cap with distinct search seeds.
+        let mut job = request();
+        let cluster = job.spec.build_cluster().unwrap();
+        for seed in 1..=PROFILED_CAP as u64 {
+            job.spec.seed = seed;
+            job.profile_key = profile_key(&job.spec);
+            handler.profiled_for(&cluster, &job);
+            assert!(handler.lock_profiled().len() <= PROFILED_CAP);
+        }
+        assert_eq!(handler.lock_profiled().len(), 1, "cleared at the cap");
+
+        // The evicted entry is re-measured bit-identically.
+        assert_eq!(handler.execute(request(), &ctx).response, first);
+        assert_eq!(handler.lock_profiled().len(), 2);
+    }
+
+    #[test]
     fn with_drift_day_rewrites_only_the_day() {
-        let doc = jsonscan::parse(
+        let doc = json::parse(
             r#"{"seed": 9, "drift": {"day": 7, "daily_sigma": 0.05}, "sample_loss_rate": 0.5}"#,
         )
         .unwrap();
         let rewritten = with_drift_day(&doc, 3);
         assert_eq!(
-            jsonwrite::render_value(&rewritten),
+            render_value(&rewritten),
             r#"{"seed":9,"drift":{"day":3,"daily_sigma":0.05},"sample_loss_rate":0.5}"#
         );
         // Day 7 stays byte-identical when rewritten to itself.
-        assert_eq!(
-            jsonwrite::render_value(&with_drift_day(&doc, 7)),
-            jsonwrite::render_value(&doc)
-        );
+        assert_eq!(render_value(&with_drift_day(&doc, 7)), render_value(&doc));
     }
 }

@@ -15,10 +15,21 @@
 //! `model` may instead spell out hyperparameters:
 //! `{ "layers": 24, "hidden": 1920, "heads": 24, "seq_len": 2048,
 //!    "vocab": 51200 }`.
+//!
+//! [`JobSpec::parse_strict`] and [`parse_fault_plan_strict`] parse the
+//! text once with the shared `pipette_obs::json` parser, then decode the
+//! tree in one typed pass: unknown and missing fields, value types and
+//! defaults, then range checks. `pipette serve` runs the same decoders on
+//! the `job` and `faults` members of a request it has already parsed.
+//! The serde derives stay for programmatic round trips; they are lenient
+//! (defaults fill gaps, unknown keys are ignored).
 
-use crate::jsonscan::{self, JsonValue};
-use pipette_cluster::{presets, Cluster, FaultPlan};
+use pipette_cluster::{
+    presets, Cluster, CorruptPair, DegradedLink, DriftEpisode, FaultPlan, StragglerGpu,
+    TemporalDrift,
+};
 use pipette_model::GptConfig;
+use pipette_obs::json::{self, JsonValue};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -157,7 +168,8 @@ pub enum SpecError {
         /// The missing key.
         field: &'static str,
     },
-    /// A field parsed but its value is outside the supported range.
+    /// A field's value has the wrong type or is outside the supported
+    /// range.
     OutOfRange {
         /// The offending field.
         field: String,
@@ -199,111 +211,241 @@ impl fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-const TOP_FIELDS: &str = "cluster, model, global_batch, max_micro, worker_dedication, \
-     sa_iterations, seed, replicas, exchange_interval, memory_training_iterations, \
-     estimator_cache_dir";
-const CLUSTER_FIELDS: &str = "preset, nodes, seed";
-const MODEL_FIELDS: &str = "preset — or layers, hidden, heads, seq_len, vocab";
-const PLAN_FIELDS: &str = "seed, degraded_links, straggler_gpus, failed_gpus, failed_nodes, \
-     corrupt_pairs, measurement_failure_rate, sample_loss_rate, drift";
-
-/// Checks that every key of `value` (which must be an object) is in
-/// `allowed`, and that every `required` key is present.
-fn check_fields(
-    value: &JsonValue,
-    context: &str,
-    allowed: &[&str],
-    allowed_msg: &'static str,
-    required: &[&'static str],
-) -> Result<(), SpecError> {
-    if !matches!(value, JsonValue::Object(_)) {
-        return Err(SpecError::Malformed(format!(
-            "{context} must be an object, got {}",
-            value.type_name()
-        )));
+impl From<json::JsonError> for SpecError {
+    fn from(e: json::JsonError) -> Self {
+        SpecError::Malformed(e.to_string())
     }
-    for key in value.keys() {
-        if !allowed.contains(&key) {
-            return Err(SpecError::UnknownField {
-                context: context.to_owned(),
-                field: key.to_owned(),
-                allowed: allowed_msg,
-            });
-        }
-    }
-    for &field in required {
-        if value.get(field).is_none() {
-            return Err(SpecError::MissingField {
-                context: context.to_owned(),
-                field,
-            });
-        }
-    }
-    Ok(())
 }
 
-/// Walks the parsed shape of a job spec, rejecting unknown fields before
-/// the (default-filling, unknown-tolerating) serde pass runs.
-fn check_job_shape(doc: &JsonValue) -> Result<(), SpecError> {
-    check_fields(
-        doc,
-        "job spec",
-        &[
-            "cluster",
-            "model",
-            "global_batch",
-            "max_micro",
-            "worker_dedication",
-            "sa_iterations",
-            "seed",
-            "replicas",
-            "exchange_interval",
-            "memory_training_iterations",
-            "estimator_cache_dir",
-        ],
-        TOP_FIELDS,
-        &["cluster", "model", "global_batch"],
-    )?;
-    let Some(cluster) = doc.get("cluster") else {
-        return Err(SpecError::MissingField {
-            context: "spec".to_string(),
-            field: "cluster",
-        });
+/// The keys one object of the schema accepts, and how errors list them.
+struct Shape {
+    keys: &'static [&'static str],
+    listed: &'static str,
+}
+
+/// A [`Shape`] whose error listing is its keys, comma-separated.
+macro_rules! shape {
+    ($first:literal $(, $rest:literal)*) => {
+        Shape {
+            keys: &[$first $(, $rest)*],
+            listed: concat!($first $(, ", ", $rest)*),
+        }
     };
-    check_fields(
-        cluster,
-        "cluster",
-        &["preset", "nodes", "seed"],
-        CLUSTER_FIELDS,
-        &["preset", "nodes"],
-    )?;
-    let Some(model) = doc.get("model") else {
-        return Err(SpecError::MissingField {
-            context: "spec".to_string(),
-            field: "model",
-        });
-    };
-    if model.get("preset").is_some() {
-        check_fields(model, "model", &["preset"], MODEL_FIELDS, &["preset"])?;
-    } else {
-        check_fields(
-            model,
-            "model",
-            &["layers", "hidden", "heads", "seq_len", "vocab"],
-            MODEL_FIELDS,
-            &["layers", "hidden", "heads"],
-        )?;
+}
+
+const JOB_SPEC: Shape = shape!(
+    "cluster",
+    "model",
+    "global_batch",
+    "max_micro",
+    "worker_dedication",
+    "sa_iterations",
+    "seed",
+    "replicas",
+    "exchange_interval",
+    "memory_training_iterations",
+    "estimator_cache_dir"
+);
+const CLUSTER: Shape = shape!("preset", "nodes", "seed");
+const MODEL_FIELDS: &str = "preset — or layers, hidden, heads, seq_len, vocab";
+const MODEL_PRESET: Shape = Shape {
+    keys: &["preset"],
+    listed: MODEL_FIELDS,
+};
+const MODEL_CUSTOM: Shape = Shape {
+    keys: &["layers", "hidden", "heads", "seq_len", "vocab"],
+    listed: MODEL_FIELDS,
+};
+const FAULT_PLAN: Shape = shape!(
+    "seed",
+    "degraded_links",
+    "straggler_gpus",
+    "failed_gpus",
+    "failed_nodes",
+    "corrupt_pairs",
+    "measurement_failure_rate",
+    "sample_loss_rate",
+    "drift"
+);
+const DRIFT: Shape = shape!("day", "daily_sigma", "reversion");
+const DEGRADED_LINK: Shape = shape!("from_node", "to_node", "factor");
+const STRAGGLER_GPU: Shape = shape!("gpu", "slowdown");
+const CORRUPT_PAIR: Shape = shape!("from_gpu", "to_gpu", "kind");
+
+/// A value type a spec field holds, and how it reads from JSON.
+trait Decode: Sized {
+    /// What the JSON value must be, for error messages.
+    const EXPECTED: &'static str;
+    fn decode(value: &JsonValue) -> Option<Self>;
+}
+
+impl Decode for u64 {
+    const EXPECTED: &'static str = "an integer in 0..=2^53";
+    fn decode(value: &JsonValue) -> Option<Self> {
+        value.as_u64()
     }
-    Ok(())
+}
+
+impl Decode for usize {
+    const EXPECTED: &'static str = u64::EXPECTED;
+    fn decode(value: &JsonValue) -> Option<Self> {
+        value.as_u64().and_then(|n| usize::try_from(n).ok())
+    }
+}
+
+impl Decode for f64 {
+    const EXPECTED: &'static str = "a number";
+    fn decode(value: &JsonValue) -> Option<Self> {
+        value.as_f64()
+    }
+}
+
+impl Decode for bool {
+    const EXPECTED: &'static str = "a boolean";
+    fn decode(value: &JsonValue) -> Option<Self> {
+        value.as_bool()
+    }
+}
+
+impl Decode for String {
+    const EXPECTED: &'static str = "a string";
+    fn decode(value: &JsonValue) -> Option<Self> {
+        value.as_str().map(str::to_owned)
+    }
+}
+
+impl Decode for Vec<usize> {
+    const EXPECTED: &'static str = "an array of integers in 0..=2^53";
+    fn decode(value: &JsonValue) -> Option<Self> {
+        value.as_array()?.iter().map(usize::decode).collect()
+    }
+}
+
+/// `null` reads as `None`, as with serde's `Option`.
+impl<T: Decode> Decode for Option<T> {
+    const EXPECTED: &'static str = T::EXPECTED;
+    fn decode(value: &JsonValue) -> Option<Self> {
+        match value {
+            JsonValue::Null => Some(None),
+            other => T::decode(other).map(Some),
+        }
+    }
+}
+
+/// One object of a spec, decoded member by member. Construction rejects
+/// a non-object and any key outside its [`Shape`]; the accessors then
+/// report missing and mistyped members by their full path.
+struct Fields<'a> {
+    /// How errors name the object: `"job spec"`, `"cluster"`,
+    /// `"degraded_links[0]"`.
+    context: String,
+    /// What member names are prefixed with in errors (empty at the top).
+    prefix: String,
+    members: &'a [(String, JsonValue)],
+}
+
+impl<'a> Fields<'a> {
+    fn of(
+        value: &'a JsonValue,
+        context: String,
+        prefix: String,
+        shape: &Shape,
+    ) -> Result<Self, SpecError> {
+        let JsonValue::Object(members) = value else {
+            return Err(SpecError::Malformed(format!(
+                "{context} must be an object, got {}",
+                value.type_name()
+            )));
+        };
+        if let Some((key, _)) = members
+            .iter()
+            .find(|(k, _)| !shape.keys.contains(&k.as_str()))
+        {
+            return Err(SpecError::UnknownField {
+                context,
+                field: key.clone(),
+                allowed: shape.listed,
+            });
+        }
+        Ok(Self {
+            context,
+            prefix,
+            members,
+        })
+    }
+
+    fn get(&self, key: &str) -> Option<&'a JsonValue> {
+        self.members.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    fn mistyped(&self, key: &str, expected: &str, got: &JsonValue) -> SpecError {
+        let got = match got {
+            JsonValue::Number(n) => n.to_string(),
+            other => other.type_name().to_owned(),
+        };
+        SpecError::OutOfRange {
+            field: format!("{}{key}", self.prefix),
+            reason: format!("must be {expected}, got {got}"),
+        }
+    }
+
+    /// An optional member; `None` when absent.
+    fn opt<T: Decode>(&self, key: &str) -> Result<Option<T>, SpecError> {
+        self.get(key)
+            .map(|v| T::decode(v).ok_or_else(|| self.mistyped(key, T::EXPECTED, v)))
+            .transpose()
+    }
+
+    fn missing(&self, key: &'static str) -> SpecError {
+        SpecError::MissingField {
+            context: self.context.clone(),
+            field: key,
+        }
+    }
+
+    /// A required member.
+    fn req<T: Decode>(&self, key: &'static str) -> Result<T, SpecError> {
+        self.opt(key)?.ok_or_else(|| self.missing(key))
+    }
+
+    /// The required object member `key`.
+    fn nested(&self, key: &'static str, shape: &Shape) -> Result<Fields<'a>, SpecError> {
+        let value = self.get(key).ok_or_else(|| self.missing(key))?;
+        let path = format!("{}{key}", self.prefix);
+        Fields::of(value, path.clone(), path + ".", shape)
+    }
+
+    /// The array member `key` (empty when absent), each item an object
+    /// decoded by `item`.
+    fn list<T>(
+        &self,
+        key: &str,
+        shape: &Shape,
+        item: impl Fn(&Fields<'a>) -> Result<T, SpecError>,
+    ) -> Result<Vec<T>, SpecError> {
+        let items = match self.get(key) {
+            None => return Ok(Vec::new()),
+            Some(JsonValue::Array(items)) => items,
+            Some(other) => return Err(self.mistyped(key, "an array", other)),
+        };
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, value)| {
+                let path = format!("{}{key}[{i}]", self.prefix);
+                item(&Fields::of(value, path.clone(), path + ".", shape)?)
+            })
+            .collect()
+    }
 }
 
 impl JobSpec {
     /// Parses a job spec strictly: valid JSON only, no unknown fields
-    /// anywhere, all required fields present, all values in range. The
-    /// plain serde path stays lenient (defaults fill gaps, unknown keys
-    /// are ignored) for programmatic use; the CLI goes through here so a
-    /// typo like `"global_bacth"` fails with an actionable message
-    /// instead of silently running with a default.
+    /// anywhere, all required fields present, every value of the right
+    /// type and in range. The plain serde path stays lenient (defaults
+    /// fill gaps, unknown keys are ignored) for programmatic use; the CLI
+    /// goes through here so a typo like `"global_bacth"` fails with an
+    /// actionable message instead of silently running with a default.
     ///
     /// # Errors
     ///
@@ -311,10 +453,51 @@ impl JobSpec {
     /// [`SpecError::MissingField`], or [`SpecError::OutOfRange`] naming
     /// the first problem.
     pub fn parse_strict(text: &str) -> Result<Self, SpecError> {
-        let doc = jsonscan::parse(text).map_err(|e| SpecError::Malformed(e.to_string()))?;
-        check_job_shape(&doc)?;
-        let spec: JobSpec =
-            serde_json::from_str(text).map_err(|e| SpecError::Malformed(e.to_string()))?;
+        Self::from_json(&json::parse(text)?)
+    }
+
+    /// The strict decoding of [`Self::parse_strict`], applied to a
+    /// document that is already parsed.
+    pub(crate) fn from_json(doc: &JsonValue) -> Result<Self, SpecError> {
+        let top = Fields::of(doc, "job spec".into(), String::new(), &JOB_SPEC)?;
+        let c = top.nested("cluster", &CLUSTER)?;
+        let cluster = ClusterSpec {
+            preset: c.req("preset")?,
+            nodes: c.req("nodes")?,
+            seed: c.opt("seed")?.unwrap_or_default(),
+        };
+        // Untagged: a `preset` key selects the preset form.
+        let model = if doc.get("model").and_then(|m| m.get("preset")).is_some() {
+            ModelSpec::Preset {
+                preset: top.nested("model", &MODEL_PRESET)?.req("preset")?,
+            }
+        } else {
+            let m = top.nested("model", &MODEL_CUSTOM)?;
+            ModelSpec::Custom {
+                layers: m.req("layers")?,
+                hidden: m.req("hidden")?,
+                heads: m.req("heads")?,
+                seq_len: m.opt("seq_len")?.unwrap_or_else(default_seq),
+                vocab: m.opt("vocab")?.unwrap_or_else(default_vocab),
+            }
+        };
+        let spec = JobSpec {
+            cluster,
+            model,
+            global_batch: top.req("global_batch")?,
+            max_micro: top.opt("max_micro")?.unwrap_or_else(default_micro),
+            worker_dedication: top.opt("worker_dedication")?.unwrap_or_else(default_true),
+            sa_iterations: top.opt("sa_iterations")?.unwrap_or_else(default_sa),
+            seed: top.opt("seed")?.unwrap_or_default(),
+            replicas: top.opt("replicas")?.unwrap_or_else(default_replicas),
+            exchange_interval: top
+                .opt("exchange_interval")?
+                .unwrap_or_else(default_exchange_interval),
+            memory_training_iterations: top
+                .opt("memory_training_iterations")?
+                .unwrap_or_else(default_mem_iterations),
+            estimator_cache_dir: top.opt("estimator_cache_dir")?.flatten(),
+        };
         spec.validate()?;
         Ok(spec)
     }
@@ -433,63 +616,63 @@ impl JobSpec {
     }
 }
 
-/// Parses a [`FaultPlan`] strictly: no unknown fields at any level. The
-/// plan's *semantic* validity (GPU indices in range, rates in `[0, 1]`)
-/// is checked against the actual topology by `FaultPlan::validate` when
-/// the drill runs.
+/// Parses a [`FaultPlan`] strictly: no unknown fields at any level and
+/// every value of the right type. The plan's *semantic* validity (GPU
+/// indices in range, rates in `[0, 1]`) is checked against the actual
+/// topology by `FaultPlan::validate` when the drill runs.
 ///
 /// # Errors
 ///
-/// [`SpecError::Malformed`] or [`SpecError::UnknownField`].
+/// [`SpecError::Malformed`], [`SpecError::UnknownField`] or
+/// [`SpecError::MissingField`].
 pub fn parse_fault_plan_strict(text: &str) -> Result<FaultPlan, SpecError> {
-    let doc = jsonscan::parse(text).map_err(|e| SpecError::Malformed(e.to_string()))?;
-    check_fields(
-        &doc,
-        "fault plan",
-        &[
-            "seed",
-            "degraded_links",
-            "straggler_gpus",
-            "failed_gpus",
-            "failed_nodes",
-            "corrupt_pairs",
-            "measurement_failure_rate",
-            "sample_loss_rate",
-            "drift",
-        ],
-        PLAN_FIELDS,
-        &[],
-    )?;
-    if let Some(drift) = doc.get("drift") {
-        check_fields(
-            drift,
-            "drift",
-            &["day", "daily_sigma", "reversion"],
-            "day, daily_sigma, reversion",
-            &["day"],
-        )?;
-    }
-    let item_fields: [(&str, &[&'static str], &'static str); 3] = [
-        (
-            "degraded_links",
-            &["from_node", "to_node", "factor"],
-            "from_node, to_node, factor",
-        ),
-        ("straggler_gpus", &["gpu", "slowdown"], "gpu, slowdown"),
-        (
-            "corrupt_pairs",
-            &["from_gpu", "to_gpu", "kind"],
-            "from_gpu, to_gpu, kind",
-        ),
-    ];
-    for (list, fields, msg) in item_fields {
-        if let Some(JsonValue::Array(items)) = doc.get(list) {
-            for (i, item) in items.iter().enumerate() {
-                check_fields(item, &format!("{list}[{i}]"), fields, msg, fields)?;
-            }
+    fault_plan_from_json(&json::parse(text)?)
+}
+
+/// The strict decoding of [`parse_fault_plan_strict`], applied to a
+/// document that is already parsed.
+pub(crate) fn fault_plan_from_json(doc: &JsonValue) -> Result<FaultPlan, SpecError> {
+    let plan = Fields::of(doc, "fault plan".into(), String::new(), &FAULT_PLAN)?;
+    let drift = match plan.get("drift") {
+        None | Some(JsonValue::Null) => None,
+        Some(_) => {
+            let d = plan.nested("drift", &DRIFT)?;
+            let walk = TemporalDrift::default();
+            Some(DriftEpisode {
+                day: d.req("day")?,
+                daily_sigma: d.opt("daily_sigma")?.unwrap_or(walk.daily_sigma),
+                reversion: d.opt("reversion")?.unwrap_or(walk.reversion),
+            })
         }
-    }
-    serde_json::from_str(text).map_err(|e| SpecError::Malformed(e.to_string()))
+    };
+    Ok(FaultPlan {
+        seed: plan.opt("seed")?.unwrap_or_default(),
+        degraded_links: plan.list("degraded_links", &DEGRADED_LINK, |l| {
+            Ok(DegradedLink {
+                from_node: l.req("from_node")?,
+                to_node: l.req("to_node")?,
+                factor: l.req("factor")?,
+            })
+        })?,
+        straggler_gpus: plan.list("straggler_gpus", &STRAGGLER_GPU, |g| {
+            Ok(StragglerGpu {
+                gpu: g.req("gpu")?,
+                slowdown: g.req("slowdown")?,
+            })
+        })?,
+        failed_gpus: plan.opt("failed_gpus")?.unwrap_or_default(),
+        failed_nodes: plan.opt("failed_nodes")?.unwrap_or_default(),
+        corrupt_pairs: plan.list("corrupt_pairs", &CORRUPT_PAIR, |p| {
+            Ok(CorruptPair {
+                from_gpu: p.req("from_gpu")?,
+                to_gpu: p.req("to_gpu")?,
+                kind: p.req("kind")?,
+            })
+        })?,
+        measurement_failure_rate: plan.opt("measurement_failure_rate")?.unwrap_or_default(),
+        sample_loss_rate: plan.opt("sample_loss_rate")?.unwrap_or_default(),
+        drift,
+    })
 }
 
 #[cfg(test)]
@@ -557,6 +740,15 @@ mod tests {
         let spec = JobSpec::parse_strict(json).unwrap();
         assert_eq!(spec.global_batch, 256);
         assert_eq!(spec.max_micro, 8, "defaults still fill in");
+        assert_eq!(spec.seed, 3);
+        assert!(matches!(
+            spec.model,
+            ModelSpec::Custom {
+                seq_len: 2048,
+                vocab: 51200,
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -618,6 +810,46 @@ mod tests {
                     "global_batch": 256}"#,
                 "not divisible",
             ),
+            // Wrong-typed values name their field.
+            (
+                r#"{"cluster": {"preset": "mid-range", "nodes": 4},
+                    "model": {"preset": "gpt-1.1b"}, "global_batch": "x"}"#,
+                "invalid global_batch: must be an integer in 0..=2^53, got string",
+            ),
+            (
+                r#"{"cluster": {"preset": "mid-range", "nodes": -1},
+                    "model": {"preset": "gpt-1.1b"}, "global_batch": 256}"#,
+                "invalid cluster.nodes: must be an integer in 0..=2^53, got -1",
+            ),
+            (
+                r#"{"cluster": {"preset": 7, "nodes": 4},
+                    "model": {"preset": "gpt-1.1b"}, "global_batch": 256}"#,
+                "invalid cluster.preset: must be a string, got 7",
+            ),
+            (
+                r#"{"cluster": {"preset": "mid-range", "nodes": 4},
+                    "model": {"layers": 1.5, "hidden": 768, "heads": 12},
+                    "global_batch": 256}"#,
+                "invalid model.layers: must be an integer in 0..=2^53, got 1.5",
+            ),
+            (
+                r#"{"cluster": {"preset": "mid-range", "nodes": 4},
+                    "model": {"preset": "gpt-1.1b"}, "global_batch": 256,
+                    "worker_dedication": "yes"}"#,
+                "invalid worker_dedication: must be a boolean, got string",
+            ),
+            (
+                r#"{"cluster": {"preset": "mid-range", "nodes": 4},
+                    "model": {"preset": "gpt-1.1b"}, "global_batch": 256,
+                    "seed": 1e17}"#,
+                "invalid seed: must be an integer in 0..=2^53",
+            ),
+            (
+                r#"{"cluster": {"preset": "mid-range", "nodes": 4},
+                    "model": {"preset": "gpt-1.1b"}, "global_batch": 256,
+                    "estimator_cache_dir": 5}"#,
+                "invalid estimator_cache_dir: must be a string, got 5",
+            ),
         ] {
             let err = JobSpec::parse_strict(json).unwrap_err();
             assert!(matches!(err, SpecError::OutOfRange { .. }), "{json}");
@@ -653,7 +885,62 @@ mod tests {
         let err = parse_fault_plan_strict(r#"{"straggler_gpus": [{"gpu": 2, "slow": 1.5}]}"#)
             .unwrap_err();
         assert!(err.to_string().contains("slow"));
+        for (bad, needle) in [
+            (r#"{"failed_gpus": [1, "x"]}"#, "invalid failed_gpus"),
+            (
+                r#"{"straggler_gpus": [{"gpu": 2, "slowdown": "fast"}]}"#,
+                "invalid straggler_gpus[0].slowdown: must be a number",
+            ),
+            (r#"{"drift": {"day": -3}}"#, "invalid drift.day"),
+            (
+                r#"{"corrupt_pairs": {}}"#,
+                "invalid corrupt_pairs: must be an array",
+            ),
+        ] {
+            let err = parse_fault_plan_strict(bad).unwrap_err();
+            assert!(err.to_string().contains(needle), "{bad}: {err}");
+        }
+        let plan = parse_fault_plan_strict(r#"{"drift": {"day": 2}}"#).unwrap();
+        let drift = plan.drift.expect("drift episode");
+        assert_eq!(
+            (drift.day, drift.daily_sigma, drift.reversion),
+            (2, 0.03, 0.25)
+        );
+        assert!(parse_fault_plan_strict(r#"{"drift": null}"#)
+            .unwrap()
+            .drift
+            .is_none());
         assert!(parse_fault_plan_strict("{}").is_ok(), "zero-fault plan");
+
+        // Every field, written by serde, decodes back to the same plan.
+        let full = FaultPlan {
+            seed: 4,
+            degraded_links: vec![DegradedLink {
+                from_node: 0,
+                to_node: 1,
+                factor: 0.5,
+            }],
+            straggler_gpus: vec![StragglerGpu {
+                gpu: 3,
+                slowdown: 2.25,
+            }],
+            failed_gpus: vec![5, 6],
+            failed_nodes: vec![2],
+            corrupt_pairs: vec![CorruptPair {
+                from_gpu: 1,
+                to_gpu: 2,
+                kind: "nan".into(),
+            }],
+            measurement_failure_rate: 0.125,
+            sample_loss_rate: 0.5,
+            drift: Some(DriftEpisode {
+                day: 6,
+                daily_sigma: 0.07,
+                reversion: 0.5,
+            }),
+        };
+        let text = serde_json::to_string(&full).unwrap();
+        assert_eq!(parse_fault_plan_strict(&text).unwrap(), full);
     }
 
     #[test]
@@ -683,6 +970,9 @@ mod tests {
         assert_eq!(back.max_micro, 4);
         assert_eq!(back.replicas, 4);
         assert_eq!(back.exchange_interval, 256);
+        // The strict decoder reads serde's output back to the same spec.
+        let strict = JobSpec::parse_strict(&json).unwrap();
+        assert_eq!(serde_json::to_string(&strict).unwrap(), json);
     }
 
     #[test]

@@ -56,10 +56,11 @@ fn every_waiver_carries_a_justification() {
     }
 }
 
-/// The PR-10 burn-down dropped the waiver count from 45 to 33. This is
+/// The waiver burn-down dropped the count from 45 to 33; folding
+/// the CLI's JSON scanner into `pipette-obs` removed one more. This is
 /// a ratchet: new waivers need either a removed one elsewhere or a
 /// deliberate bump here, reviewed like any other budget change.
-const WAIVER_CEILING: usize = 33;
+const WAIVER_CEILING: usize = 32;
 
 #[test]
 fn waiver_count_never_regresses_past_the_ceiling() {

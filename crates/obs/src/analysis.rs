@@ -4,8 +4,6 @@
 //! output — so analyses are themselves regression-testable. The module
 //! provides:
 //!
-//! - a minimal zero-dependency JSON parser ([`parse_json`]) sufficient
-//!   for the canonical writer's output and the budget manifest,
 //! - [`ParsedTrace`]: a JSONL trace re-read as typed lines, lowered to
 //!   a [`SpanTree`] for rollups and hot-span ranking,
 //! - [`diff_jsonl`]: structural two-trace comparison (per-span and
@@ -15,324 +13,10 @@
 //! - deterministic plain-text renderers for the `pipette trace`
 //!   subcommands.
 
+use crate::json::{self, JsonError, JsonValue};
 use crate::span::{SpanError, SpanTree, TraceLine};
 use std::fmt;
 use std::fmt::Write as _;
-
-// ---------------------------------------------------------------------------
-// Minimal JSON
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value. Numbers are kept as `f64` (every number the
-/// canonical writer emits round-trips exactly; logical costs stay far
-/// below 2^53).
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object, preserving field order.
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// The value as a string, if it is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an `f64`, if it is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as a non-negative integer, if it is a whole number.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::Num(n)
-                if *n >= 0.0 && n.fract() == 0.0 && *n <= 9.007_199_254_740_992e15 =>
-            {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-
-    /// The value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The value as an array, if it is one.
-    pub fn as_array(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Looks up a field, if the value is an object.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-}
-
-/// A JSON syntax error with a byte offset into the input.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonError {
-    /// Byte offset where parsing failed.
-    pub offset: usize,
-    /// What went wrong.
-    pub message: &'static str,
-}
-
-impl fmt::Display for JsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} at byte {}", self.message, self.offset)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
-/// Parses one JSON document. Trailing whitespace is allowed; trailing
-/// garbage is an error.
-pub fn parse_json(text: &str) -> Result<JsonValue, JsonError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let value = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters"));
-    }
-    Ok(value)
-}
-
-const MAX_DEPTH: usize = 64;
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, message: &'static str) -> JsonError {
-        JsonError {
-            offset: self.pos,
-            message,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> bool {
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect_byte(&mut self, b: u8, message: &'static str) -> Result<(), JsonError> {
-        if self.eat(b) {
-            Ok(())
-        } else {
-            Err(self.err(message))
-        }
-    }
-
-    fn literal(&mut self, word: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
-        match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't' | b'f') => {
-                if self.literal("true") {
-                    Ok(JsonValue::Bool(true))
-                } else if self.literal("false") {
-                    Ok(JsonValue::Bool(false))
-                } else {
-                    Err(self.err("invalid literal"))
-                }
-            }
-            Some(b'n') => {
-                if self.literal("null") {
-                    Ok(JsonValue::Null)
-                } else {
-                    Err(self.err("invalid literal"))
-                }
-            }
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(self.err("expected a value")),
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
-        self.expect_byte(b'{', "expected '{'")?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.eat(b'}') {
-            return Ok(JsonValue::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect_byte(b':', "expected ':'")?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            fields.push((key, value));
-            self.skip_ws();
-            if self.eat(b',') {
-                continue;
-            }
-            self.expect_byte(b'}', "expected ',' or '}'")?;
-            return Ok(JsonValue::Obj(fields));
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
-        self.expect_byte(b'[', "expected '['")?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.eat(b']') {
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            if self.eat(b',') {
-                continue;
-            }
-            self.expect_byte(b']', "expected ',' or ']'")?;
-            return Ok(JsonValue::Arr(items));
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect_byte(b'"', "expected '\"'")?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let code = self.hex4()?;
-                            // Unpaired surrogates degrade to the
-                            // replacement character; the canonical
-                            // writer never emits them.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            continue;
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    let rest = &self.bytes[self.pos..];
-                    let len = rest
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
-                        .unwrap_or(rest.len());
-                    match std::str::from_utf8(&rest[..len]) {
-                        Ok(s) => out.push_str(s),
-                        Err(_) => return Err(self.err("invalid utf-8")),
-                    }
-                    self.pos += len;
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, JsonError> {
-        // self.pos is on the 'u'.
-        let start = self.pos + 1;
-        let end = start + 4;
-        if end > self.bytes.len() {
-            return Err(self.err("truncated \\u escape"));
-        }
-        let mut code = 0u32;
-        for &b in &self.bytes[start..end] {
-            let digit = match b {
-                b'0'..=b'9' => (b - b'0') as u32,
-                b'a'..=b'f' => (b - b'a' + 10) as u32,
-                b'A'..=b'F' => (b - b'A' + 10) as u32,
-                _ => return Err(self.err("invalid \\u escape")),
-            };
-            code = code * 16 + digit;
-        }
-        self.pos = end;
-        Ok(code)
-    }
-
-    fn number(&mut self) -> Result<JsonValue, JsonError> {
-        let start = self.pos;
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        text.parse::<f64>()
-            .map(JsonValue::Num)
-            .map_err(|_| self.err("invalid number"))
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Parsed traces
@@ -440,8 +124,8 @@ impl ParsedTrace {
             if raw.trim().is_empty() {
                 continue;
             }
-            let value = parse_json(raw).map_err(|error| AnalysisError::Json { line, error })?;
-            if !matches!(value, JsonValue::Obj(_)) {
+            let value = json::parse(raw).map_err(|error| AnalysisError::Json { line, error })?;
+            if !matches!(value, JsonValue::Object(_)) {
                 return Err(AnalysisError::NotAnObject { line });
             }
             let kind = value
@@ -749,7 +433,7 @@ pub struct BudgetManifest {
 impl BudgetManifest {
     /// Parses the manifest JSON, validating the schema tag.
     pub fn parse(text: &str) -> Result<Self, AnalysisError> {
-        let value = parse_json(text)
+        let value = json::parse(text)
             .map_err(|error| AnalysisError::Manifest(format!("invalid JSON: {error}")))?;
         let schema = value
             .get("schema")
@@ -1156,7 +840,7 @@ mod tests {
 
     #[test]
     fn parser_handles_scalars_arrays_and_objects() {
-        let v = parse_json(r#"{"a":1,"b":-2.5,"c":"x\"y","d":[true,false,null],"e":{"f":3}}"#)
+        let v = json::parse(r#"{"a":1,"b":-2.5,"c":"x\"y","d":[true,false,null],"e":{"f":3}}"#)
             .expect("valid json");
         assert_eq!(v.get("a").and_then(JsonValue::as_u64), Some(1));
         assert_eq!(v.get("b").and_then(JsonValue::as_f64), Some(-2.5));
@@ -1173,21 +857,55 @@ mod tests {
                 .and_then(JsonValue::as_u64),
             Some(3)
         );
+        assert_eq!(v.get("missing"), None);
+        assert_eq!(
+            v.get("d").and_then(|d| d.get("a")),
+            None,
+            "arrays have no keys"
+        );
     }
 
     #[test]
     fn parser_rejects_garbage() {
-        assert!(parse_json("").is_err());
-        assert!(parse_json("{").is_err());
-        assert!(parse_json("{}x").is_err());
-        assert!(parse_json(r#"{"a"}"#).is_err());
-        assert!(parse_json("nulls").is_err());
-        assert!(parse_json("[1,]").is_err());
+        let deep = "[".repeat(json::MAX_DEPTH + 2);
+        for (bad, needle) in [
+            ("", "unexpected end"),
+            ("{", "expected '\"'"),
+            ("{}x", "trailing"),
+            (r#"{"a"}"#, "expected ':'"),
+            ("nulls", "trailing"),
+            ("[1,]", "expected a value"),
+            (r#"{"a": 1,}"#, "expected '\"'"),
+            ("[1 2]", "expected ',' or ']'"),
+            (r#"{"a": 1} trailing"#, "trailing"),
+            ("\"unterminated", "unterminated"),
+            ("01a", "trailing"),
+            (r#"{"a": Infinity}"#, "expected a value"),
+            // The stricter rules every input surface shares.
+            (r#"{"a": 1, "a": 2}"#, "duplicate key \"a\""),
+            ("\"tab\there\"", "control character"),
+            ("1e999", "out of range"),
+            ("-", "invalid number"),
+            ("1.", "invalid number"),
+            (r#""\ud800""#, "lone surrogate"),
+            (r#""\udc00""#, "lone surrogate"),
+            (r#""\ud800\u0041""#, "lone surrogate"),
+            (&deep, "nesting deeper than 64"),
+        ] {
+            let err = json::parse(bad).expect_err(bad);
+            assert!(err.to_string().contains(needle), "{bad:?}: {err}");
+            assert!(err.to_string().contains(" at byte "), "{err}");
+        }
+        assert_eq!(
+            json::parse(r#""\ud83d\ude00""#).map(|v| v.as_str().map(str::to_owned)),
+            Ok(Some("\u{1f600}".to_owned())),
+            "a surrogate pair decodes"
+        );
     }
 
     #[test]
     fn parser_handles_escapes() {
-        let v = parse_json(r#""a\n\tA\\""#).expect("valid");
+        let v = json::parse(r#""a\n\tA\\""#).expect("valid");
         assert_eq!(v.as_str(), Some("a\n\tA\\"));
     }
 

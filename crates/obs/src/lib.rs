@@ -18,7 +18,9 @@
 //! 3. **Typed events, hand-rolled JSON.** [`EventKind`] is an enum (no
 //!    per-event allocation beyond the `Vec` push), and serialization is a
 //!    fixed field order with shortest-round-trip float formatting — two
-//!    traces of equal events are equal strings.
+//!    traces of equal events are equal strings. [`json`] holds that
+//!    writer and the strict parser; it is the workspace's one JSON
+//!    layer, shared with the CLI's job specs and `pipette serve`.
 //!
 //! [`Metrics`] adds named monotonic [`Counter`]s and power-of-two-bucket
 //! [`Histogram`]s that flush into the same sink as `counter` / `histogram`
@@ -34,6 +36,7 @@
 
 pub mod analysis;
 pub mod event;
+pub mod json;
 pub mod metrics;
 pub mod span;
 pub mod trace;

@@ -3,8 +3,8 @@
 //! expiry with best-so-far results, deterministic load-shedding, and the
 //! circuit breaker's trip/degrade/recover cycle.
 
-use pipette_cli::jsonscan::{self, JsonValue};
 use pipette_cli::{run_drill_serve, PipetteHandler};
+use pipette_obs::json::{self, JsonValue};
 use pipette_serve::{
     run_pipe, BreakerConfig, ExecContext, ParseOutcome, RequestHandler, ServerConfig,
 };
@@ -96,7 +96,7 @@ fn identical_requests_are_byte_identical_at_any_worker_count() {
 
     // Every response embeds a balanced per-request trace with the same
     // spans a one-shot `--trace-out` run records.
-    let doc = jsonscan::parse(&streams[0][0]).expect("response is valid JSON");
+    let doc = json::parse(&streams[0][0]).expect("response is valid JSON");
     let JsonValue::Array(trace_lines) = get(&doc, "trace") else {
         panic!("trace must be an array of JSONL lines");
     };
@@ -137,7 +137,7 @@ fn deadline_truncates_to_best_so_far_and_expires_typed() {
     let free = configure_line("free", "");
     let input = format!("{free}\n{{\"op\":\"shutdown\"}}\n");
     let (lines, _) = run_server(&input, ServerConfig::default());
-    let doc = jsonscan::parse(&lines[0]).expect("valid JSON");
+    let doc = json::parse(&lines[0]).expect("valid JSON");
     assert_eq!(get(&doc, "status"), &JsonValue::String("ok".into()));
     let result = get(&doc, "result");
     let examined = number(result, "examined") as u64;
@@ -152,7 +152,7 @@ fn deadline_truncates_to_best_so_far_and_expires_typed() {
     let truncating = configure_line("tight", &format!(",\"deadline_units\":{budget}"));
     let input = format!("{truncating}\n{{\"op\":\"shutdown\"}}\n");
     let (lines, _) = run_server(&input, ServerConfig::default());
-    let doc = jsonscan::parse(&lines[0]).expect("valid JSON");
+    let doc = json::parse(&lines[0]).expect("valid JSON");
     assert_eq!(
         get(&doc, "status"),
         &JsonValue::String("deadline".into()),
@@ -175,7 +175,7 @@ fn deadline_truncates_to_best_so_far_and_expires_typed() {
     let hopeless = configure_line("none", ",\"deadline_units\":1");
     let input = format!("{hopeless}\n{{\"op\":\"shutdown\"}}\n");
     let (lines, summary) = run_server(&input, ServerConfig::default());
-    let doc = jsonscan::parse(&lines[0]).expect("valid JSON");
+    let doc = json::parse(&lines[0]).expect("valid JSON");
     assert_eq!(get(&doc, "status"), &JsonValue::String("deadline".into()));
     assert_eq!(get(&doc, "result"), &JsonValue::Null);
     assert_eq!(
@@ -247,7 +247,7 @@ fn breaker_trips_serves_degraded_and_recovers() {
     let (lines, summary) = run_server(&input, config);
     assert_eq!(lines.len(), 4);
 
-    let trip_doc = jsonscan::parse(&lines[0]).expect("valid JSON");
+    let trip_doc = json::parse(&lines[0]).expect("valid JSON");
     assert_eq!(get(&trip_doc, "status"), &JsonValue::String("ok".into()));
     assert_eq!(
         get(&trip_doc, "result").get("analytic_memory_fallback"),
@@ -257,7 +257,7 @@ fn breaker_trips_serves_degraded_and_recovers() {
 
     // The failure tripped the breaker: the next request is served in
     // degraded (analytic) mode without touching the estimator...
-    let deg = jsonscan::parse(&lines[1]).expect("valid JSON");
+    let deg = json::parse(&lines[1]).expect("valid JSON");
     assert_eq!(get(&deg, "degraded"), &JsonValue::Bool(true));
     assert_eq!(get(&deg, "status"), &JsonValue::String("ok".into()));
     assert!(
@@ -267,9 +267,9 @@ fn breaker_trips_serves_degraded_and_recovers() {
 
     // ... which exhausts the cooldown; the half-open probe runs the full
     // path, succeeds, and closes the breaker again.
-    let probe = jsonscan::parse(&lines[2]).expect("valid JSON");
+    let probe = json::parse(&lines[2]).expect("valid JSON");
     assert_eq!(get(&probe, "degraded"), &JsonValue::Bool(false));
-    let ok = jsonscan::parse(&lines[3]).expect("valid JSON");
+    let ok = json::parse(&lines[3]).expect("valid JSON");
     assert_eq!(get(&ok, "degraded"), &JsonValue::Bool(false));
     assert_eq!(get(&ok, "status"), &JsonValue::String("ok".into()));
 
@@ -291,7 +291,7 @@ fn drill_serve_replays_the_drift_timeline() {
     let (lines, summary) = run_drill_serve(JOB, faults).expect("replay runs");
     assert_eq!(lines.len(), 2, "one response per drift day 0..=1");
     for (day, line) in lines.iter().enumerate() {
-        let doc = jsonscan::parse(line).expect("valid JSON");
+        let doc = json::parse(line).expect("valid JSON");
         assert_eq!(
             get(&doc, "id"),
             &JsonValue::String(format!("day-{day}")),
@@ -305,9 +305,31 @@ fn drill_serve_replays_the_drift_timeline() {
     // Day 0 and day 1 see different drifted bandwidth matrices, so their
     // reports may differ — but both days' fault handling is identical,
     // and with total sample loss both fall back to analytic screening.
-    let day0 = jsonscan::parse(&lines[0]).expect("valid JSON");
+    let day0 = json::parse(&lines[0]).expect("valid JSON");
     assert_eq!(
         get(&day0, "result").get("analytic_memory_fallback"),
         Some(&JsonValue::Bool(true))
     );
+}
+
+#[test]
+fn a_deeply_nested_line_is_a_typed_error_and_the_server_keeps_serving() {
+    let deep = "[".repeat(1_000_000);
+    let input = format!("{deep}\n{}\n", configure_line("after", ""));
+    let (lines, _) = run_server(
+        &input,
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    );
+    assert_eq!(lines.len(), 2, "{lines:?}");
+    let rejected = json::parse(&lines[0]).expect("valid JSON");
+    assert_eq!(get(&rejected, "seq"), &JsonValue::Number(0.0));
+    assert_eq!(get(&rejected, "status"), &JsonValue::String("error".into()));
+    let message = get(&rejected, "message").as_str().unwrap_or_default();
+    assert!(message.contains("nesting deeper than 64"), "{message}");
+    let served = json::parse(&lines[1]).expect("valid JSON");
+    assert_eq!(get(&served, "id"), &JsonValue::String("after".into()));
+    assert_eq!(get(&served, "status"), &JsonValue::String("ok".into()));
 }
