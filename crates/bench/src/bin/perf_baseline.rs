@@ -31,11 +31,11 @@ use pipette::telemetry::SaTraceObserver;
 use pipette_cluster::presets;
 use pipette_mlp::{Matrix, Mlp, TrainConfig};
 use pipette_model::{GptConfig, MicrobatchPlan, ParallelConfig};
+use pipette_obs::json::{push_json_string, push_object};
 use pipette_obs::{SpanTree, Trace, TraceConfig};
 use pipette_sim::{ComputeProfiler, Mapping, MemorySim};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::Serialize;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -88,7 +88,6 @@ fn alloc_snapshot() -> (u64, u64) {
     )
 }
 
-#[derive(Serialize)]
 struct Report {
     smoke: bool,
     cluster: ClusterShape,
@@ -102,7 +101,6 @@ struct Report {
     reference_trace: ReferenceTrace,
 }
 
-#[derive(Serialize)]
 struct ClusterShape {
     nodes: usize,
     gpus_per_node: usize,
@@ -111,7 +109,6 @@ struct ClusterShape {
     dp: usize,
 }
 
-#[derive(Serialize)]
 struct ObjectiveThroughput {
     evaluations: usize,
     /// Moves driven through the incremental path. Far more than
@@ -125,7 +122,6 @@ struct ObjectiveThroughput {
     speedup: f64,
 }
 
-#[derive(Serialize)]
 struct EndToEnd {
     wall_clock_seconds: f64,
     examined: usize,
@@ -139,7 +135,6 @@ struct EndToEnd {
 /// undo logs, touched-sets, and DP memo are all arena-backed and sized
 /// at construction. The binary aborts if the count is nonzero, so a
 /// regression can never write a green-looking report.
-#[derive(Serialize)]
 struct HotPathAllocs {
     warmup_moves: usize,
     measured_moves: usize,
@@ -153,7 +148,6 @@ struct HotPathAllocs {
 /// diff across runs. With the iteration count pinned, both are
 /// deterministic (seeded SA, bit-stable objective) and only the
 /// wall-clock field varies between machines.
-#[derive(Serialize)]
 struct SaBudgeted {
     iterations: usize,
     wall_clock_seconds: f64,
@@ -173,7 +167,6 @@ struct SaBudgeted {
 /// cores *this* machine has (recorded in `host_cpus`; CI runs on shared
 /// 1–2-core runners, where wall-clock aggregate throughput would be
 /// meaningless and machine-dependent).
-#[derive(Serialize)]
 struct ParallelTempering {
     replicas: usize,
     exchange_interval: usize,
@@ -212,7 +205,6 @@ struct ParallelTempering {
 /// allocations — any difference in allocator totals is, exactly, what
 /// the extra `measured_moves` steady-state moves and their exchange
 /// rounds allocated. The binary aborts unless that difference is zero.
-#[derive(Serialize)]
 struct PtSteadyState {
     short_chain_iterations: usize,
     long_chain_iterations: usize,
@@ -227,7 +219,6 @@ struct PtSteadyState {
 /// screening throughput, and the trained-estimator cache. The paper
 /// protocol (50k iterations, five layers × 200 hidden) is extrapolated
 /// from a measured slice — per-iteration cost is constant across the run.
-#[derive(Serialize)]
 struct MemoryEstimatorPerf {
     corpus_samples: usize,
     measured_train_iterations: usize,
@@ -257,7 +248,8 @@ struct MemoryEstimatorPerf {
 /// annealing run with the no-op observer vs. a recording
 /// [`SaTraceObserver`] at the default sampling cadence. The observed run
 /// must stay bit-identical and within a few percent of the plain one.
-#[derive(Serialize)]
+/// Rates come from each side's median run; the overhead is the median of
+/// the per-pair losses.
 struct TelemetryOverhead {
     sa_iterations: usize,
     plain_evals_per_sec: f64,
@@ -275,7 +267,6 @@ struct TelemetryOverhead {
 /// so the ceilings are on *logical* work (span costs, event counts) and
 /// are machine-independent. The binary itself asserts the span stream is
 /// balanced and bit-stable across two back-to-back runs.
-#[derive(Serialize)]
 struct ReferenceTrace {
     path: String,
     seed: u64,
@@ -286,6 +277,142 @@ struct ReferenceTrace {
     anneal_evals: u64,
     /// Screened-in candidates (the `estimates` span's cost).
     estimated_candidates: u64,
+}
+
+impl Report {
+    /// The `BENCH_configurator.json` document: one object per section,
+    /// members in declaration order.
+    fn to_json(&self) -> String {
+        let (c, ob, h, e) = (
+            &self.cluster,
+            &self.objective,
+            &self.hot_path_allocs,
+            &self.end_to_end,
+        );
+        let (sa, pt, m, t, r) = (
+            &self.sa_budgeted,
+            &self.pt,
+            &self.memory_estimator,
+            &self.telemetry,
+            &self.reference_trace,
+        );
+        let mut out = String::new();
+        push_object(&mut out, |o| {
+            o.boolean("smoke", self.smoke);
+            o.object("cluster", |o| {
+                o.uint("nodes", c.nodes as u64);
+                o.uint("gpus_per_node", c.gpus_per_node as u64);
+                o.uint("pp", c.pp as u64);
+                o.uint("tp", c.tp as u64);
+                o.uint("dp", c.dp as u64);
+            });
+            o.object("objective", |o| {
+                o.uint("evaluations", ob.evaluations as u64);
+                o.uint("incremental_evaluations", ob.incremental_evaluations as u64);
+                o.float("full_evals_per_sec", ob.full_evals_per_sec);
+                o.float("incremental_evals_per_sec", ob.incremental_evals_per_sec);
+                o.float("speedup", ob.speedup);
+            });
+            o.object("hot_path_allocs", |o| {
+                o.uint("warmup_moves", h.warmup_moves as u64);
+                o.uint("measured_moves", h.measured_moves as u64);
+                o.uint("allocations", h.allocations);
+                o.uint("allocated_bytes", h.allocated_bytes);
+            });
+            o.object("end_to_end", |o| {
+                o.float("wall_clock_seconds", e.wall_clock_seconds);
+                o.uint("examined", e.examined as u64);
+                o.uint("memory_rejected", e.memory_rejected as u64);
+                o.float("estimated_iteration_seconds", e.estimated_iteration_seconds);
+            });
+            o.object("sa_budgeted", |o| {
+                o.uint("iterations", sa.iterations as u64);
+                o.float("wall_clock_seconds", sa.wall_clock_seconds);
+                o.float("evals_per_sec", sa.evals_per_sec);
+                o.uint("evaluations", sa.evaluations as u64);
+                o.float("improvement", sa.improvement);
+            });
+            o.object("pt", |o| {
+                o.uint("replicas", pt.replicas as u64);
+                o.uint("exchange_interval", pt.exchange_interval as u64);
+                o.uint("chain_iterations", pt.chain_iterations as u64);
+                o.uint("total_evaluations", pt.total_evaluations as u64);
+                o.float("wall_clock_seconds", pt.wall_clock_seconds);
+                o.float("max_chain_busy_seconds", pt.max_chain_busy_seconds);
+                o.float("aggregate_evals_per_sec", pt.aggregate_evals_per_sec);
+                o.uint("host_cpus", pt.host_cpus as u64);
+                o.float("single_chain_evals_per_sec", pt.single_chain_evals_per_sec);
+                o.float("speedup_vs_single_chain", pt.speedup_vs_single_chain);
+                o.uint("exchanges_attempted", pt.exchanges_attempted as u64);
+                o.uint("exchanges_accepted", pt.exchanges_accepted as u64);
+                let st = &pt.steady_state;
+                o.object("steady_state", |o| {
+                    o.uint("short_chain_iterations", st.short_chain_iterations as u64);
+                    o.uint("long_chain_iterations", st.long_chain_iterations as u64);
+                    o.uint("measured_moves", st.measured_moves as u64);
+                    o.uint("allocations", st.allocations);
+                    o.uint("allocated_bytes", st.allocated_bytes);
+                });
+                o.float(
+                    "equal_budget_single_improvement",
+                    pt.equal_budget_single_improvement,
+                );
+                o.float(
+                    "equal_budget_tempering_improvement",
+                    pt.equal_budget_tempering_improvement,
+                );
+            });
+            o.object("memory_estimator", |o| {
+                o.uint("corpus_samples", m.corpus_samples as u64);
+                o.uint(
+                    "measured_train_iterations",
+                    m.measured_train_iterations as u64,
+                );
+                o.float("fast_train_seconds", m.fast_train_seconds);
+                o.float("reference_train_seconds", m.reference_train_seconds);
+                o.float("kernel_train_speedup", m.kernel_train_speedup);
+                o.uint(
+                    "paper_protocol_iterations",
+                    m.paper_protocol_iterations as u64,
+                );
+                o.float("paper_train_seconds_fast", m.paper_train_seconds_fast);
+                o.float(
+                    "paper_train_seconds_reference",
+                    m.paper_train_seconds_reference,
+                );
+                o.float("single_predictions_per_sec", m.single_predictions_per_sec);
+                o.float("batch_predictions_per_sec", m.batch_predictions_per_sec);
+                o.float("batch_screen_speedup", m.batch_screen_speedup);
+                o.float("cold_configure_seconds", m.cold_configure_seconds);
+                o.float("warm_configure_seconds", m.warm_configure_seconds);
+                o.uint("warm_cache_hits", m.warm_cache_hits);
+                o.float("warm_vs_cold_speedup", m.warm_vs_cold_speedup);
+                o.float(
+                    "paper_train_vs_cache_hit_speedup",
+                    m.paper_train_vs_cache_hit_speedup,
+                );
+            });
+            o.object("telemetry", |o| {
+                o.uint("sa_iterations", t.sa_iterations as u64);
+                o.float("plain_evals_per_sec", t.plain_evals_per_sec);
+                o.float("traced_evals_per_sec", t.traced_evals_per_sec);
+                o.float("overhead_fraction", t.overhead_fraction);
+                o.uint("trace_events", t.trace_events as u64);
+            });
+            o.object("reference_trace", |o| {
+                o.string("path", &r.path);
+                o.uint("seed", r.seed);
+                o.uint("total_lines", r.total_lines as u64);
+                o.uint("span_instances", r.span_instances as u64);
+                o.array("span_names", &r.span_names, |out, name| {
+                    push_json_string(out, name)
+                });
+                o.uint("anneal_evals", r.anneal_evals);
+                o.uint("estimated_candidates", r.estimated_candidates);
+            });
+        });
+        out
+    }
 }
 
 fn main() {
@@ -669,46 +796,64 @@ fn main() {
     };
 
     // Telemetry overhead on the SA hot path: identical annealing runs,
-    // no-op observer vs. default-cadence trace recording. Best-of-3 on
-    // each side to damp scheduler noise.
+    // no-op observer vs. default-cadence trace recording. The gate reads
+    // the median over adjacent plain/traced pairs, alternating which side
+    // runs first, so neither a slow outlier nor a warm-up drift decides
+    // it.
     let sa_iters = if smoke { 2_000 } else { 200_000 };
     let sa = Annealer::new(AnnealerConfig {
         iterations: sa_iters,
         seed: 2,
         ..Default::default()
     });
-    let mut plain_best = f64::INFINITY;
-    let mut traced_best = f64::INFINITY;
-    let mut plain_cost = 0.0f64;
-    let mut traced_cost = 0.0f64;
-    let mut trace_events = 0usize;
-    for _ in 0..3 {
+    let plain_run = || {
         let mut obj = IncrementalObjective::from_model(&model, &gpt, plan, &compute, &identity);
         let t0 = Instant::now();
         let (_, cost, _) = sa.anneal_with(&identity, &mut obj);
-        plain_best = plain_best.min(t0.elapsed().as_secs_f64());
-        plain_cost = cost;
-
+        (t0.elapsed().as_secs_f64(), cost, 0)
+    };
+    let traced_run = || {
         let mut obj = IncrementalObjective::from_model(&model, &gpt, plan, &compute, &identity);
         let mut trace = Trace::new(TraceConfig::default());
         let mut observer = SaTraceObserver::new(&mut trace, 0);
         let t0 = Instant::now();
         let (_, cost, stats) = sa.anneal_observed(&identity, &mut obj, &mut observer);
-        traced_best = traced_best.min(t0.elapsed().as_secs_f64());
-        traced_cost = cost;
+        let elapsed = t0.elapsed().as_secs_f64();
         observer.finish(&stats);
-        trace_events = trace.len();
+        (elapsed, cost, trace.len())
+    };
+    let pairs = 9;
+    let mut plain_secs = Vec::with_capacity(pairs);
+    let mut traced_secs = Vec::with_capacity(pairs);
+    let mut overheads = Vec::with_capacity(pairs);
+    let mut trace_events = 0usize;
+    for pair in 0..pairs {
+        let (plain, traced) = if pair % 2 == 0 {
+            let plain = plain_run();
+            (plain, traced_run())
+        } else {
+            let traced = traced_run();
+            (plain_run(), traced)
+        };
+        assert_eq!(
+            plain.1.to_bits(),
+            traced.1.to_bits(),
+            "recording telemetry must not change the search"
+        );
+        trace_events = traced.2;
+        plain_secs.push(plain.0);
+        traced_secs.push(traced.0);
+        overheads.push(1.0 - plain.0 / traced.0.max(1e-12));
     }
-    assert_eq!(
-        plain_cost.to_bits(),
-        traced_cost.to_bits(),
-        "recording telemetry must not change the search"
-    );
+    let median = |mut xs: Vec<f64>| {
+        xs.sort_by(f64::total_cmp);
+        xs[xs.len() / 2]
+    };
     let telemetry = TelemetryOverhead {
         sa_iterations: sa_iters,
-        plain_evals_per_sec: sa_iters as f64 / plain_best,
-        traced_evals_per_sec: sa_iters as f64 / traced_best,
-        overhead_fraction: 1.0 - plain_best / traced_best.max(1e-12),
+        plain_evals_per_sec: sa_iters as f64 / median(plain_secs),
+        traced_evals_per_sec: sa_iters as f64 / median(traced_secs),
+        overhead_fraction: median(overheads),
         trace_events,
     };
     if !smoke {
@@ -785,7 +930,7 @@ fn main() {
         reference_trace,
     };
 
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
+    let json = report.to_json();
     std::fs::write("BENCH_configurator.json", &json).expect("write BENCH_configurator.json");
     println!("{json}");
     eprintln!(

@@ -1,19 +1,18 @@
 //! Deterministic JSON renderings of the CLI's reports.
 //!
-//! Machine-readable surfaces (`drill --json`, the `pipette serve`
-//! response stream) need byte-stable output under a writer this repo
-//! controls, not the vendored `serde_json` pretty-printer. These
+//! Machine-readable surfaces (`configure`/`compare`/`drill --json`, the
+//! `pipette serve` response stream) need byte-stable output. These
 //! renderers build on the shared [`Obj`] writer: fixed field order,
 //! shortest round-trip floats, no whitespace — so identical inputs
 //! always produce byte-identical JSON.
 
-use crate::report::DrillReport;
-use pipette_obs::json::Obj;
-use std::fmt::Write as _;
+use crate::report::{CompareRow, DrillReport};
+use pipette_obs::json::{push_array, push_object, push_uint, Obj};
 
 /// Renders a [`CliReport`](crate::report::CliReport) as one
-/// deterministic JSON object — the `result` payload of serve responses
-/// and the `recommendation` member of the drill report.
+/// deterministic JSON object — the `configure --json` output, the
+/// `result` payload of serve responses and the `recommendation` member
+/// of the drill report.
 pub fn cli_report_json(rec: &crate::report::CliReport) -> String {
     let mut rec_json = String::new();
     let mut o = Obj::open(&mut rec_json);
@@ -27,26 +26,14 @@ pub fn cli_report_json(rec: &crate::report::CliReport) -> String {
     o.float("peak_memory_gib", rec.peak_memory_gib);
     o.uint("examined", rec.examined as u64);
     o.uint("memory_rejected", rec.memory_rejected as u64);
-    let mut mapping = String::from("[");
-    for (i, g) in rec.mapping.iter().enumerate() {
-        if i > 0 {
-            mapping.push(',');
-        }
-        let _ = write!(mapping, "{g}");
-    }
-    mapping.push(']');
-    o.raw("mapping", &mapping);
+    o.array("mapping", &rec.mapping, |out, &g| push_uint(out, g as u64));
     o.uint("replicas", rec.replicas as u64);
     match &rec.estimator_cache {
-        Some(c) => {
-            let mut cache = String::new();
-            let mut co = Obj::open(&mut cache);
+        Some(c) => o.object("estimator_cache", |co| {
             co.uint("hits", c.hits);
             co.uint("misses", c.misses);
             co.uint("corrupt", c.corrupt);
-            co.close();
-            o.raw("estimator_cache", &cache);
-        }
+        }),
         None => o.raw("estimator_cache", "null"),
     }
     o.close();
@@ -61,15 +48,9 @@ pub fn drill_report_json(report: &DrillReport) -> String {
     o.raw("recommendation", &cli_report_json(&report.recommendation));
     o.uint("healthy_gpus", report.healthy_gpus as u64);
     o.uint("surviving_gpus", report.surviving_gpus as u64);
-    let mut excluded = String::from("[");
-    for (i, g) in report.excluded_gpus.iter().enumerate() {
-        if i > 0 {
-            excluded.push(',');
-        }
-        let _ = write!(excluded, "{g}");
-    }
-    excluded.push(']');
-    o.raw("excluded_gpus", &excluded);
+    o.array("excluded_gpus", &report.excluded_gpus, |out, &g| {
+        push_uint(out, g as u64)
+    });
     o.uint("profiler_retries", report.profiler_retries as u64);
     o.uint("imputed_pairs", report.imputed_pairs as u64);
     o.uint("corrupt_samples", report.corrupt_samples as u64);
@@ -80,6 +61,21 @@ pub fn drill_report_json(report: &DrillReport) -> String {
     }
     o.uint("degraded_requests", report.degraded_requests);
     o.close();
+    out
+}
+
+/// Renders the `compare --json` shoot-out: one object per method, in
+/// the order [`run_compare`](crate::report::run_compare) returns them.
+pub fn compare_rows_json(rows: &[CompareRow]) -> String {
+    let mut out = String::new();
+    push_array(&mut out, rows, |out, row| {
+        push_object(out, |o| {
+            o.string("method", &row.method);
+            o.string("config", &row.config);
+            o.float("seconds", row.seconds);
+            o.uint("launches", row.launches as u64);
+        })
+    });
     out
 }
 

@@ -8,9 +8,10 @@
 //! ```
 
 use pipette_cli::{
-    drill_report_json, parse_fault_plan_strict, render_drill, render_explain, render_metrics,
-    run_compare, run_configure_traced, run_drill_serve, run_drill_traced, trace_check, trace_diff,
-    trace_flame, trace_summarize, JobSpec, PipetteHandler, TraceCmdOutput,
+    cli_report_json, compare_rows_json, drill_report_json, parse_fault_plan_strict, render_drill,
+    render_explain, render_metrics, run_compare, run_configure_traced, run_drill_serve,
+    run_drill_traced, trace_check, trace_diff, trace_flame, trace_summarize, JobSpec,
+    PipetteHandler, TraceCmdOutput,
 };
 use pipette_cluster::FaultPlan;
 use pipette_obs::{Trace, TraceConfig};
@@ -249,7 +250,7 @@ fn import_mpigraph(path: &str, gpus_per_node: usize) -> Result<String, Box<dyn s
     let matrix = pipette_cluster::parse_mpigraph(&text, gpus_per_node, preset.intra, preset.inter)?;
     let cluster =
         pipette_cluster::Cluster::new("imported", preset.gpu.clone(), matrix, preset.profiler);
-    Ok(cluster.to_json()?)
+    Ok(cluster.to_json())
 }
 
 /// Runs the spec, optionally writing the telemetry trace to `trace_out`,
@@ -292,7 +293,7 @@ fn configure(
 ) -> Result<(), Box<dyn std::error::Error>> {
     let (report, _) = run_with_optional_trace(spec, trace_out)?;
     if json {
-        println!("{}", serde_json::to_string_pretty(&report)?);
+        println!("{}", cli_report_json(&report));
         return Ok(());
     }
     println!(
@@ -339,9 +340,6 @@ fn drill(
         }
     };
     if json {
-        // The hand-rolled writer, not the serde pretty-printer: CI and
-        // downstream tooling get one byte-stable line under a renderer
-        // this repo controls.
         println!("{}", drill_report_json(&report));
     } else {
         print!("{}", render_drill(&report, &outcome));
@@ -413,8 +411,8 @@ fn serve_command(args: &[String]) -> ExitCode {
         Some(dir) => {
             let (handler, sweep) = PipetteHandler::with_cache_dir(&dir);
             eprintln!(
-                "serve: cache sweep of {dir}: {} scanned, {} quarantined, {} indexes healed",
-                sweep.scanned, sweep.quarantined, sweep.healed_indexes
+                "serve: cache sweep of {dir}: {} scanned, {} quarantined, {} leftovers removed",
+                sweep.scanned, sweep.quarantined, sweep.removed
             );
             handler
         }
@@ -468,7 +466,7 @@ fn serve_command(args: &[String]) -> ExitCode {
 fn compare(spec: &JobSpec, json: bool) -> Result<(), Box<dyn std::error::Error>> {
     let rows = run_compare(spec)?;
     if json {
-        println!("{}", serde_json::to_string_pretty(&rows)?);
+        println!("{}", compare_rows_json(&rows));
         return Ok(());
     }
     println!(

@@ -35,6 +35,7 @@
 use crate::jsonwrite;
 use crate::report::{self, CliReport};
 use crate::spec::{fault_plan_from_json, JobSpec, SpecError};
+use pipette::fnv::Fnv1a;
 use pipette::memory::{SweepReport, TrainedEstimatorCache};
 use pipette::{ConfigureError, DeadlineReport, Pipette};
 use pipette_cluster::{FaultPlan, ProfiledBandwidth, ProfilingCost};
@@ -89,9 +90,9 @@ impl PipetteHandler {
     }
 
     /// A handler persisting trained estimators under `dir`. Startup is
-    /// crash-only: the directory is swept eagerly — corrupt entries
-    /// quarantined, defective index snapshots rebuilt — before the first
-    /// request is admitted.
+    /// crash-only: the directory is swept eagerly — defective entries
+    /// quarantined, abandoned temp files and retired-format entries
+    /// deleted — before the first request is admitted.
     pub fn with_cache_dir(dir: impl Into<PathBuf>) -> (Self, SweepReport) {
         let cache = TrainedEstimatorCache::with_dir(dir);
         let sweep = cache.sweep();
@@ -283,19 +284,13 @@ impl Default for PipetteHandler {
 /// cluster identity (preset, node count, build seed) and the run seed
 /// that drives the profiler's noise.
 fn profile_key(spec: &JobSpec) -> u64 {
-    fn eat(hash: &mut u64, bytes: &[u8]) {
-        for byte in bytes {
-            *hash ^= u64::from(*byte);
-            *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    eat(&mut hash, spec.cluster.preset.as_bytes());
-    eat(&mut hash, &[0x1e]);
-    eat(&mut hash, &spec.cluster.nodes.to_le_bytes());
-    eat(&mut hash, &spec.cluster.seed.to_le_bytes());
-    eat(&mut hash, &spec.seed.to_le_bytes());
-    hash
+    let mut hash = Fnv1a::new();
+    hash.write(spec.cluster.preset.as_bytes());
+    hash.write(&[0x1e]);
+    hash.u64(spec.cluster.nodes as u64);
+    hash.u64(spec.cluster.seed);
+    hash.u64(spec.seed);
+    hash.finish()
 }
 
 /// Renders one response line with the fixed serve field order:
@@ -328,27 +323,17 @@ fn respond(
         None => o.raw("result", "null"),
     }
     if let Some(d) = deadline {
-        let mut dj = String::new();
-        let mut dobj = Obj::open(&mut dj);
-        dobj.uint("budget_units", d.budget_units);
-        dobj.uint("spent_units", d.spent_units);
-        dobj.boolean("truncated", d.truncated);
-        dobj.close();
-        o.raw("deadline", &dj);
+        o.object("deadline", |dobj| {
+            dobj.uint("budget_units", d.budget_units);
+            dobj.uint("spent_units", d.spent_units);
+            dobj.boolean("truncated", d.truncated);
+        });
     }
     if let Some(m) = message {
         o.string("message", m);
     }
     if let Some(t) = trace.filter(|_| job.want_trace) {
-        let mut arr = String::from("[");
-        for (i, line) in t.to_jsonl_stripped().lines().enumerate() {
-            if i > 0 {
-                arr.push(',');
-            }
-            push_json_string(&mut arr, line);
-        }
-        arr.push(']');
-        o.raw("trace", &arr);
+        o.array("trace", t.to_jsonl_stripped().lines(), push_json_string);
     }
     o.close();
     out
@@ -671,6 +656,13 @@ mod tests {
         let spec = JobSpec::parse_strict(JOB).unwrap();
         let base = profile_key(&spec);
         assert_eq!(base, profile_key(&spec));
+        // The key is FNV-1a over this exact byte string.
+        let mut bytes = spec.cluster.preset.as_bytes().to_vec();
+        bytes.push(0x1e);
+        bytes.extend_from_slice(&(spec.cluster.nodes as u64).to_le_bytes());
+        bytes.extend_from_slice(&spec.cluster.seed.to_le_bytes());
+        bytes.extend_from_slice(&spec.seed.to_le_bytes());
+        assert_eq!(base, pipette::fnv::fnv1a64(&bytes));
         let mut other = spec.clone();
         other.cluster.nodes = 4;
         assert_ne!(base, profile_key(&other));

@@ -21,8 +21,6 @@
 //! tree in one typed pass: unknown and missing fields, value types and
 //! defaults, then range checks. `pipette serve` runs the same decoders on
 //! the `job` and `faults` members of a request it has already parsed.
-//! The serde derives stay for programmatic round trips; they are lenient
-//! (defaults fill gaps, unknown keys are ignored).
 
 use pipette_cluster::{
     presets, Cluster, CorruptPair, DegradedLink, DriftEpisode, FaultPlan, StragglerGpu,
@@ -30,24 +28,21 @@ use pipette_cluster::{
 };
 use pipette_model::GptConfig;
 use pipette_obs::json::{self, JsonValue};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which synthetic cluster to build.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterSpec {
     /// `"mid-range"` (V100/EDR) or `"high-end"` (A100/HDR).
     pub preset: String,
     /// Number of 8-GPU nodes.
     pub nodes: usize,
     /// Seed realizing the heterogeneous bandwidth matrix.
-    #[serde(default)]
     pub seed: u64,
 }
 
 /// The model to train: a named preset or explicit hyperparameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(untagged)]
+#[derive(Debug, Clone)]
 pub enum ModelSpec {
     /// A named preset, e.g. `{"preset": "gpt-3.1b"}`.
     Preset {
@@ -63,10 +58,8 @@ pub enum ModelSpec {
         /// Attention heads.
         heads: usize,
         /// Sequence length (default 2048).
-        #[serde(default = "default_seq")]
         seq_len: usize,
         /// Vocabulary size (default 51200).
-        #[serde(default = "default_vocab")]
         vocab: usize,
     },
 }
@@ -80,7 +73,7 @@ fn default_vocab() -> usize {
 }
 
 /// The full job specification.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JobSpec {
     /// Cluster to configure for.
     pub cluster: ClusterSpec,
@@ -89,35 +82,27 @@ pub struct JobSpec {
     /// Samples per optimizer step.
     pub global_batch: u64,
     /// Largest microbatch considered (default 8).
-    #[serde(default = "default_micro")]
     pub max_micro: u64,
     /// Enable fine-grained worker dedication (default true).
-    #[serde(default = "default_true")]
     pub worker_dedication: bool,
     /// Simulated-annealing iterations per candidate (default 30000).
-    #[serde(default = "default_sa")]
     pub sa_iterations: usize,
     /// Search seed (default 0).
-    #[serde(default)]
     pub seed: u64,
     /// Parallel-tempering replicas per SA pass (default 1 = classic
     /// single chain). More replicas search a temperature ladder with
     /// deterministic state exchange; results stay machine-independent
     /// because this is an explicit choice, never derived from core count.
-    #[serde(default = "default_replicas")]
     pub replicas: usize,
     /// Iterations between tempering exchange rounds (default 512;
     /// ignored when `replicas` is 1).
-    #[serde(default = "default_exchange_interval")]
     pub exchange_interval: usize,
     /// Memory-estimator training iterations (default 12000; lower for
     /// quick runs).
-    #[serde(default = "default_mem_iterations")]
     pub memory_training_iterations: usize,
     /// Directory for the on-disk trained-estimator cache. When set,
     /// repeated `configure` runs with identical training inputs reload
     /// the estimator (bit-exact) instead of retraining.
-    #[serde(default)]
     pub estimator_cache_dir: Option<String>,
 }
 
@@ -321,7 +306,7 @@ impl Decode for Vec<usize> {
     }
 }
 
-/// `null` reads as `None`, as with serde's `Option`.
+/// `null` reads as `None`.
 impl<T: Decode> Decode for Option<T> {
     const EXPECTED: &'static str = T::EXPECTED;
     fn decode(value: &JsonValue) -> Option<Self> {
@@ -442,9 +427,7 @@ impl<'a> Fields<'a> {
 impl JobSpec {
     /// Parses a job spec strictly: valid JSON only, no unknown fields
     /// anywhere, all required fields present, every value of the right
-    /// type and in range. The plain serde path stays lenient (defaults
-    /// fill gaps, unknown keys are ignored) for programmatic use; the CLI
-    /// goes through here so a typo like `"global_bacth"` fails with an
+    /// type and in range, so a typo like `"global_bacth"` fails with an
     /// actionable message instead of silently running with a default.
     ///
     /// # Errors
@@ -686,7 +669,7 @@ mod tests {
             "model": {"preset": "gpt-1.1b"},
             "global_batch": 256
         }"#;
-        let spec: JobSpec = serde_json::from_str(json).unwrap();
+        let spec = JobSpec::parse_strict(json).unwrap();
         assert_eq!(spec.max_micro, 8);
         assert!(spec.worker_dedication);
         assert_eq!(spec.sa_iterations, 30_000);
@@ -704,7 +687,7 @@ mod tests {
             "global_batch": 64,
             "worker_dedication": false
         }"#;
-        let spec: JobSpec = serde_json::from_str(json).unwrap();
+        let spec = JobSpec::parse_strict(json).unwrap();
         let model = spec.build_model().unwrap();
         assert_eq!(model.hidden, 768);
         assert_eq!(model.seq_len, 2048);
@@ -718,7 +701,7 @@ mod tests {
             "model": {"preset": "gpt-9000b"},
             "global_batch": 256
         }"#;
-        let spec: JobSpec = serde_json::from_str(json).unwrap();
+        let spec = JobSpec::parse_strict(json).unwrap();
         assert!(matches!(
             spec.build_cluster(),
             Err(SpecError::UnknownCluster(_))
@@ -911,8 +894,16 @@ mod tests {
             .drift
             .is_none());
         assert!(parse_fault_plan_strict("{}").is_ok(), "zero-fault plan");
+        // Sparse plans fill every absent field with its zero-fault default.
+        assert_eq!(
+            parse_fault_plan_strict(r#"{"failed_nodes": [0]}"#).unwrap(),
+            FaultPlan {
+                failed_nodes: vec![0],
+                ..FaultPlan::default()
+            }
+        );
 
-        // Every field, written by serde, decodes back to the same plan.
+        // Every field decodes to the plan it spells out.
         let full = FaultPlan {
             seed: 4,
             degraded_links: vec![DegradedLink {
@@ -939,40 +930,42 @@ mod tests {
                 reversion: 0.5,
             }),
         };
-        let text = serde_json::to_string(&full).unwrap();
-        assert_eq!(parse_fault_plan_strict(&text).unwrap(), full);
+        let text = r#"{"seed": 4,
+            "degraded_links": [{"from_node": 0, "to_node": 1, "factor": 0.5}],
+            "straggler_gpus": [{"gpu": 3, "slowdown": 2.25}],
+            "failed_gpus": [5, 6], "failed_nodes": [2],
+            "corrupt_pairs": [{"from_gpu": 1, "to_gpu": 2, "kind": "nan"}],
+            "measurement_failure_rate": 0.125, "sample_loss_rate": 0.5,
+            "drift": {"day": 6, "daily_sigma": 0.07, "reversion": 0.5}}"#;
+        assert_eq!(parse_fault_plan_strict(text).unwrap(), full);
     }
 
     #[test]
-    fn spec_round_trips_through_json() {
-        let spec = JobSpec {
-            cluster: ClusterSpec {
-                preset: "mid-range".into(),
-                nodes: 8,
-                seed: 1,
-            },
-            model: ModelSpec::Preset {
-                preset: "gpt-3.1b".into(),
-            },
-            global_batch: 512,
-            max_micro: 4,
-            worker_dedication: true,
-            sa_iterations: 10_000,
-            seed: 5,
-            replicas: 4,
-            exchange_interval: 256,
-            memory_training_iterations: 12_000,
-            estimator_cache_dir: None,
-        };
-        let json = serde_json::to_string(&spec).unwrap();
-        let back: JobSpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.global_batch, 512);
-        assert_eq!(back.max_micro, 4);
-        assert_eq!(back.replicas, 4);
-        assert_eq!(back.exchange_interval, 256);
-        // The strict decoder reads serde's output back to the same spec.
-        let strict = JobSpec::parse_strict(&json).unwrap();
-        assert_eq!(serde_json::to_string(&strict).unwrap(), json);
+    fn strict_parse_reads_every_field() {
+        let spec = JobSpec::parse_strict(
+            r#"{"cluster": {"preset": "mid-range", "nodes": 8, "seed": 1},
+                "model": {"preset": "gpt-3.1b"},
+                "global_batch": 512, "max_micro": 4, "worker_dedication": false,
+                "sa_iterations": 10000, "seed": 5, "replicas": 4,
+                "exchange_interval": 256, "memory_training_iterations": 1200,
+                "estimator_cache_dir": "cache"}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            (
+                spec.cluster.preset.as_str(),
+                spec.cluster.nodes,
+                spec.cluster.seed
+            ),
+            ("mid-range", 8, 1)
+        );
+        assert!(matches!(&spec.model, ModelSpec::Preset { preset } if preset == "gpt-3.1b"));
+        assert_eq!((spec.global_batch, spec.max_micro), (512, 4));
+        assert!(!spec.worker_dedication);
+        assert_eq!((spec.sa_iterations, spec.seed), (10_000, 5));
+        assert_eq!((spec.replicas, spec.exchange_interval), (4, 256));
+        assert_eq!(spec.memory_training_iterations, 1200);
+        assert_eq!(spec.estimator_cache_dir.as_deref(), Some("cache"));
     }
 
     #[test]

@@ -1,9 +1,15 @@
 //! End-to-end tests driving the compiled `pipette-cli` binary.
 
+use pipette_obs::json::{self, JsonValue};
 use std::process::Command;
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_pipette-cli"))
+}
+
+/// Parses a command's stdout as one JSON document.
+fn parse_stdout(stdout: &[u8]) -> JsonValue {
+    json::parse(&String::from_utf8_lossy(stdout)).expect("stdout is JSON")
 }
 
 #[test]
@@ -17,8 +23,8 @@ fn no_args_prints_usage_and_fails() {
 fn example_spec_is_valid_json() {
     let out = bin().arg("example-spec").output().expect("binary runs");
     assert!(out.status.success());
-    let spec: pipette_cli::JobSpec =
-        serde_json::from_slice(&out.stdout).expect("printed spec must parse");
+    let spec = pipette_cli::JobSpec::parse_strict(&String::from_utf8_lossy(&out.stdout))
+        .expect("printed spec must parse");
     assert_eq!(spec.global_batch, 256);
 }
 
@@ -48,8 +54,9 @@ fn configure_runs_end_to_end_from_a_file() {
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let report: pipette_cli::CliReport = serde_json::from_slice(&out.stdout).expect("json report");
-    assert_eq!(report.pp * report.tp * report.dp, 16);
+    let report = parse_stdout(&out.stdout);
+    let ways = |key: &str| report.get(key).and_then(JsonValue::as_u64).expect(key);
+    assert_eq!(ways("pp") * ways("tp") * ways("dp"), 16);
 }
 
 #[test]
@@ -67,10 +74,16 @@ fn import_mpigraph_produces_a_loadable_cluster() {
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let cluster =
-        pipette_cluster::Cluster::from_json(&String::from_utf8_lossy(&out.stdout)).expect("json");
-    assert_eq!(cluster.topology().num_nodes(), 3);
-    assert_eq!(cluster.topology().gpus_per_node(), 8);
+    let cluster = parse_stdout(&out.stdout);
+    let bandwidth = cluster.get("bandwidth").expect("bandwidth");
+    let topology = bandwidth.get("topology").expect("topology");
+    assert_eq!(topology.get("nodes").and_then(JsonValue::as_u64), Some(3));
+    assert_eq!(
+        topology.get("gpus_per_node").and_then(JsonValue::as_u64),
+        Some(8)
+    );
+    let data = bandwidth.get("data").and_then(JsonValue::as_array);
+    assert_eq!(data.map(<[JsonValue]>::len), Some(24 * 24));
 }
 
 #[test]
@@ -111,17 +124,18 @@ fn explain_with_trace_out_writes_parseable_jsonl() {
 
     // Every line must parse as a JSON object carrying at least the seq
     // and kind envelope fields (extra payload fields are ignored here).
-    #[derive(serde::Deserialize)]
-    struct TraceLine {
-        seq: u64,
-        kind: String,
-    }
     let jsonl = std::fs::read_to_string(&trace_path).expect("trace written");
     let mut kinds = std::collections::BTreeSet::new();
     for (i, line) in jsonl.lines().enumerate() {
-        let v: TraceLine = serde_json::from_str(line).expect("each line is JSON");
-        assert_eq!(v.seq, i as u64, "seq is the line index");
-        kinds.insert(v.kind);
+        let v = json::parse(line).expect("each line is JSON");
+        let seq = v.get("seq").and_then(JsonValue::as_u64);
+        assert_eq!(seq, Some(i as u64), "seq is the line index");
+        kinds.insert(
+            v.get("kind")
+                .and_then(JsonValue::as_str)
+                .expect("kind")
+                .to_owned(),
+        );
     }
     for kind in [
         "run_start",
@@ -188,15 +202,18 @@ fn drill_replays_a_fault_plan_end_to_end() {
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let report: pipette_cli::DrillReport = serde_json::from_slice(&out.stdout).expect("json");
-    assert_eq!(report.healthy_gpus, 24);
-    assert_eq!(report.surviving_gpus, 16);
-    assert_eq!(report.excluded_gpus.len(), 8);
-    assert!(report.profiler_retries >= 1, "the corrupt pair retries");
-    assert_eq!(
-        report.recommendation.pp * report.recommendation.tp * report.recommendation.dp,
-        16
+    let report = parse_stdout(&out.stdout);
+    let count = |v: &JsonValue, key: &str| v.get(key).and_then(JsonValue::as_u64).expect(key);
+    assert_eq!(count(&report, "healthy_gpus"), 24);
+    assert_eq!(count(&report, "surviving_gpus"), 16);
+    let excluded = report.get("excluded_gpus").and_then(JsonValue::as_array);
+    assert_eq!(excluded.map(<[JsonValue]>::len), Some(8));
+    assert!(
+        count(&report, "profiler_retries") >= 1,
+        "the corrupt pair retries"
     );
+    let rec = report.get("recommendation").expect("recommendation");
+    assert_eq!(count(rec, "pp") * count(rec, "tp") * count(rec, "dp"), 16);
 
     let jsonl = std::fs::read_to_string(&trace_path).expect("trace written");
     for kind in [

@@ -8,7 +8,7 @@
 use crate::error::ClusterError;
 use crate::link::{LinkClass, LinkSpec};
 use crate::topology::{ClusterTopology, GpuId, NodeId};
-use serde::{Deserialize, Serialize};
+use pipette_obs::json::{push_f64, push_object, Obj};
 
 /// Dense GPU×GPU matrix of attained bandwidths in GiB/s.
 ///
@@ -17,42 +17,15 @@ use serde::{Deserialize, Serialize};
 /// `between(b, a)`, mirroring the paper's observation that bidirectional
 /// bandwidths are "often almost symmetric" (which motivates the SA *reverse*
 /// move).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BandwidthMatrix {
     topology: ClusterTopology,
     intra_spec: LinkSpec,
     inter_spec: LinkSpec,
     /// Row-major `num_gpus x num_gpus` attained bandwidth, GiB/s. The
-    /// diagonal is `INFINITY`, which JSON cannot represent, so the field
-    /// round-trips through a null-aware codec.
-    #[serde(with = "infinite_f64_vec")]
+    /// diagonal is `INFINITY`, which JSON cannot represent, so
+    /// [`Self::to_json`] writes it as `null`.
     data: Vec<f64>,
-}
-
-/// Serde codec mapping non-finite `f64`s to JSON `null` and back.
-mod infinite_f64_vec {
-    use serde::de::Error as _;
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    pub fn serialize<S: Serializer>(data: &[f64], s: S) -> Result<S::Ok, S::Error> {
-        let encoded: Vec<Option<f64>> = data
-            .iter()
-            .map(|&v| if v.is_finite() { Some(v) } else { None })
-            .collect();
-        encoded.serialize(s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Vec<f64>, D::Error> {
-        let encoded: Vec<Option<f64>> = Vec::deserialize(d)?;
-        encoded
-            .into_iter()
-            .map(|v| match v {
-                Some(x) if x.is_finite() => Ok(x),
-                Some(x) => Err(D::Error::custom(format!("non-finite bandwidth {x}"))),
-                None => Ok(f64::INFINITY),
-            })
-            .collect()
-    }
 }
 
 impl BandwidthMatrix {
@@ -140,6 +113,29 @@ impl BandwidthMatrix {
     /// Nominal spec of the inter-node fabric.
     pub fn inter_spec(&self) -> LinkSpec {
         self.inter_spec
+    }
+
+    /// The matrix as one JSON object: `topology`, the nominal
+    /// `intra_spec`/`inter_spec`, and the row-major `data` with the
+    /// infinite diagonal written as `null`.
+    pub(crate) fn to_json(&self) -> String {
+        let link = |o: &mut Obj<'_>, name: &str, spec: LinkSpec| {
+            o.object(name, |l| {
+                l.float("bandwidth_gib_s", spec.bandwidth_gib_s);
+                l.float("latency_s", spec.latency_s);
+            })
+        };
+        let mut out = String::new();
+        push_object(&mut out, |o| {
+            o.object("topology", |t| {
+                t.uint("nodes", self.topology.num_nodes() as u64);
+                t.uint("gpus_per_node", self.topology.gpus_per_node() as u64);
+            });
+            link(o, "intra_spec", self.intra_spec);
+            link(o, "inter_spec", self.inter_spec);
+            o.array("data", &self.data, |out, &v| push_f64(out, v));
+        });
+        out
     }
 
     /// Link class between two GPUs.
@@ -303,7 +299,7 @@ impl BandwidthMatrix {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::topology::NodeId;
 
@@ -438,11 +434,42 @@ mod tests {
         ));
     }
 
+    /// Decodes [`BandwidthMatrix::to_json`] output through the shared
+    /// JSON parser and the validating [`BandwidthMatrix::from_raw`].
+    pub(crate) fn decode(doc: &pipette_obs::json::JsonValue) -> BandwidthMatrix {
+        let num = |v: &pipette_obs::json::JsonValue, key: &str| {
+            v.get(key).and_then(|x| x.as_f64()).expect(key)
+        };
+        let link = |key: &str| {
+            let spec = doc.get(key).expect(key);
+            LinkSpec::new(num(spec, "bandwidth_gib_s"), num(spec, "latency_s"))
+        };
+        let topology = doc.get("topology").expect("topology");
+        let data = doc.get("data").and_then(|d| d.as_array()).expect("data");
+        BandwidthMatrix::from_raw(
+            ClusterTopology::new(
+                num(topology, "nodes") as usize,
+                num(topology, "gpus_per_node") as usize,
+            ),
+            link("intra_spec"),
+            link("inter_spec"),
+            data.iter()
+                .map(|v| v.as_f64().unwrap_or(f64::INFINITY))
+                .collect(),
+        )
+        .expect("valid matrix")
+    }
+
     #[test]
     fn json_round_trip_preserves_infinite_diagonal() {
         let m = homog();
-        let json = serde_json::to_string(&m).expect("serializable");
-        let back: BandwidthMatrix = serde_json::from_str(&json).expect("parseable");
+        let json = m.to_json();
+        assert!(json.starts_with(r#"{"topology":{"nodes":"#), "{json}");
+        assert!(
+            json.contains(r#""data":[null,"#),
+            "diagonal is null: {json}"
+        );
+        let back = decode(&pipette_obs::json::parse(&json).expect("parseable"));
         assert_eq!(back, m);
         assert!(back.between(GpuId(2), GpuId(2)).is_infinite());
     }

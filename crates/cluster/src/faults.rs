@@ -3,7 +3,7 @@
 //! Real clusters are not the benign world the rest of this crate draws:
 //! Fig. 3's 40-day mpiGraph trace shows links sagging and recovering, and
 //! production fleets lose whole nodes mid-campaign. A [`FaultPlan`] is a
-//! seeded, serializable description of such an episode — degraded links,
+//! seeded description of such an episode — degraded links,
 //! straggling GPUs, dead nodes/GPUs, and corrupted profiler readings —
 //! that can be layered on top of any [`BandwidthMatrix`]/topology. Every
 //! decision the plan makes (does this measurement attempt fail? is this
@@ -15,11 +15,10 @@ use crate::bandwidth::BandwidthMatrix;
 use crate::error::ClusterError;
 use crate::temporal::TemporalDrift;
 use crate::topology::{ClusterTopology, GpuId, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// A directed node-to-node link running below its usual attained
 /// bandwidth (congestion, a flaky cable, a misbehaving switch port).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradedLink {
     /// Source node of the degraded direction.
     pub from_node: usize,
@@ -31,7 +30,7 @@ pub struct DegradedLink {
 }
 
 /// A GPU whose links all run slow (thermal throttling, a PCIe downgrade).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StragglerGpu {
     /// The straggling GPU (global index).
     pub gpu: usize,
@@ -53,7 +52,7 @@ pub enum CorruptionKind {
 
 /// One GPU pair whose *first* profiler reading comes back corrupted; the
 /// robust profiler's retry path must recover or impute it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorruptPair {
     /// Source GPU (global index).
     pub from_gpu: usize,
@@ -79,27 +78,17 @@ impl CorruptPair {
 /// matrix is replaced by day `day` of the mean-reverting
 /// [`TemporalDrift`] walk (Fig. 3's 40-day mpiGraph trace) before any
 /// other ground-truth fault applies. Day 0 is the base matrix itself.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftEpisode {
     /// Which day of the drift walk to apply (0 = base matrix).
     pub day: usize,
     /// Per-day log-space noise scale of the walk.
-    #[serde(default = "default_daily_sigma")]
     pub daily_sigma: f64,
     /// Mean-reversion strength toward the base matrix, `[0, 1]`.
-    #[serde(default = "default_reversion")]
     pub reversion: f64,
 }
 
-fn default_daily_sigma() -> f64 {
-    TemporalDrift::default().daily_sigma
-}
-
-fn default_reversion() -> f64 {
-    TemporalDrift::default().reversion
-}
-
-/// A seeded, serializable description of one cluster-fault episode.
+/// A seeded description of one cluster-fault episode.
 ///
 /// The plan separates *ground-truth* faults (degraded links, stragglers —
 /// they change what a perfect profiler would see, via
@@ -110,39 +99,30 @@ fn default_reversion() -> f64 {
 ///
 /// The default value is the zero-fault plan; running any fault-aware path
 /// under it must reproduce the fault-free behavior bit for bit.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Seed for the plan's own stochastic decisions (measurement
     /// failures, sample loss). Independent of the profiler's noise seed.
-    #[serde(default)]
     pub seed: u64,
     /// Links running below their usual attained bandwidth.
-    #[serde(default)]
     pub degraded_links: Vec<DegradedLink>,
     /// GPUs whose links all run slow.
-    #[serde(default)]
     pub straggler_gpus: Vec<StragglerGpu>,
     /// Dead GPUs (global indices). Their host nodes are cordoned.
-    #[serde(default)]
     pub failed_gpus: Vec<usize>,
     /// Dead nodes; every hosted GPU is excluded.
-    #[serde(default)]
     pub failed_nodes: Vec<usize>,
     /// GPU pairs whose first profiler reading comes back corrupted.
-    #[serde(default)]
     pub corrupt_pairs: Vec<CorruptPair>,
     /// Probability in `[0, 1]` that any single measurement attempt fails
     /// outright (decided per `(pair, attempt)` by a seeded hash).
-    #[serde(default)]
     pub measurement_failure_rate: f64,
     /// Probability in `[0, 1]` that a memory-profiling sample is lost
     /// (decided per sample index by a seeded hash). At `1.0` every sample
     /// is lost, forcing the analytic-estimator fallback.
-    #[serde(default)]
     pub sample_loss_rate: f64,
     /// Temporal-drift episode applied to the ground truth before the
     /// link/straggler faults above.
-    #[serde(default)]
     pub drift: Option<DriftEpisode>,
 }
 
@@ -590,39 +570,5 @@ mod tests {
                 "episode should be rejected: {episode:?}"
             );
         }
-    }
-
-    #[test]
-    fn drift_round_trips_and_defaults_fill_in() {
-        let sparse: FaultPlan = serde_json::from_str(r#"{"drift":{"day":4}}"#).unwrap();
-        let d = sparse.drift.unwrap();
-        assert_eq!(d.day, 4);
-        assert_eq!(d.daily_sigma, 0.03);
-        assert_eq!(d.reversion, 0.25);
-        let json = serde_json::to_string(&sparse).unwrap();
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, sparse);
-    }
-
-    #[test]
-    fn plan_round_trips_through_json() {
-        let plan = FaultPlan {
-            seed: 9,
-            failed_nodes: vec![1],
-            corrupt_pairs: vec![CorruptPair {
-                from_gpu: 0,
-                to_gpu: 9,
-                kind: "outlier".into(),
-            }],
-            measurement_failure_rate: 0.05,
-            ..FaultPlan::default()
-        };
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, plan);
-        // Sparse plans parse with defaults filled in.
-        let sparse: FaultPlan = serde_json::from_str(r#"{"failed_nodes":[0]}"#).unwrap();
-        assert_eq!(sparse.failed_nodes, vec![0]);
-        assert_eq!(sparse.measurement_failure_rate, 0.0);
     }
 }

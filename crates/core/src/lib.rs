@@ -49,6 +49,7 @@ pub mod cancel;
 pub mod configurator;
 pub mod degraded;
 pub mod error;
+pub mod fnv;
 pub mod latency;
 pub mod mapping;
 pub mod memory;

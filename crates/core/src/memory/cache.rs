@@ -7,84 +7,161 @@
 //! seed), the target model ([`GptConfig`]), and the training protocol
 //! ([`MemoryEstimatorConfig`], which contains the `TrainConfig`, soft
 //! margin, and weight-init seed). The cache keys on a fingerprint of that
-//! tuple — FNV-1a over its canonical JSON — so two `configure()` calls
-//! that would train byte-for-byte the same network share one entry, and
-//! anything that changes the result (a different margin, seed, iteration
-//! count, cluster, or model) misses.
+//! tuple — FNV-1a over a fixed-width encoding of every field — so two
+//! `configure()` calls that would train byte-for-byte the same network
+//! share one entry, and anything that changes the result (a different
+//! margin, seed, iteration count, cluster, or model) misses.
 //!
 //! Entries live in memory and, when a directory is configured, on disk as
-//! serde JSON. The vendored `serde_json` prints `f64` shortest-round-trip
-//! and parses correctly rounded, so a reloaded estimator is **bit-exact**:
-//! warm-cache recommendations are identical to cold ones (see
-//! `tests/estimator_cache.rs`).
+//! one binary `PIPMEMIX` snapshot per fingerprint (see [`mmap_index`]).
+//! Weights are stored as raw `f64` bits, so a reloaded estimator is
+//! **bit-exact**: warm-cache recommendations are identical to cold ones
+//! (see `tests/estimator_cache.rs`). A snapshot that fails any of its
+//! checks is quarantined as `.idx.corrupt`, counted as corrupt, and
+//! retrained.
 
+use crate::fnv::Fnv1a;
 use crate::memory::dataset::{collect_samples_parallel, SampleSpec};
 use crate::memory::estimator::{MemoryEstimator, MemoryEstimatorConfig};
-use crate::memory::mmap_index;
+use crate::memory::mmap_index::{self, IndexError};
+use pipette_mlp::TrainConfig;
 use pipette_model::GptConfig;
-use pipette_sim::MemorySim;
-use serde::{Deserialize, Serialize};
+use pipette_sim::{ActivationMode, MemorySim, PipelineSchedule, TrainingOptions};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// 64-bit FNV-1a fingerprint of the training inputs (via canonical JSON).
-/// The four parts are everything a trained estimator is a deterministic
-/// function of; a `0x1e` record separator between them keeps e.g.
-/// `("ab", "c")` and `("a", "bc")` from colliding.
+/// Leads every fingerprint. Bump it when the encoding below changes or a
+/// trained estimator stops being a function of exactly these inputs:
+/// entries keyed under the old value are then never looked up again.
+const FINGERPRINT_FORMAT: u64 = 2;
+
+/// 64-bit FNV-1a fingerprint of the training inputs: every field of the
+/// four parts, as fixed-width little-endian words (floats by their bits,
+/// enums by a fixed code), each vector preceded by its length. The public
+/// structs are destructured without `..`, so a new field fails to compile
+/// here until it is hashed.
 pub fn estimator_fingerprint(
     spec: &SampleSpec,
     gpt: &GptConfig,
     config: &MemoryEstimatorConfig,
     truth: &MemorySim,
 ) -> u64 {
-    fn fnv(hash: &mut u64, bytes: &[u8]) {
-        for byte in bytes {
-            *hash ^= u64::from(*byte);
-            *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    fn usize_word(h: &mut Fnv1a, v: usize) {
+        h.u64(v as u64);
+    }
+    fn gpt_words(h: &mut Fnv1a, gpt: &GptConfig) {
+        let GptConfig {
+            n_layers,
+            hidden,
+            n_heads,
+            seq_len,
+            vocab,
+        } = *gpt;
+        for v in [n_layers, hidden, n_heads, seq_len, vocab] {
+            usize_word(h, v);
         }
     }
-    fn part<T: Serialize>(hash: &mut u64, value: &T) {
-        // An unserializable value degrades to hashing only the separator:
-        // the key stays deterministic, at worst less discriminating.
-        if let Ok(json) = serde_json::to_string(value) {
-            fnv(hash, json.as_bytes());
-        }
-        fnv(hash, &[0x1e]);
+    let mut h = Fnv1a::new();
+    h.u64(FINGERPRINT_FORMAT);
+
+    let SampleSpec {
+        gpu_counts,
+        gpus_per_node,
+        models,
+        global_batches,
+        max_micro,
+    } = spec;
+    usize_word(&mut h, gpu_counts.len());
+    for &n in gpu_counts {
+        usize_word(&mut h, n);
     }
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    part(&mut hash, spec);
-    part(&mut hash, gpt);
-    part(&mut hash, config);
-    part(&mut hash, truth);
-    hash
+    usize_word(&mut h, *gpus_per_node);
+    usize_word(&mut h, models.len());
+    for model in models {
+        gpt_words(&mut h, model);
+    }
+    usize_word(&mut h, global_batches.len());
+    for &b in global_batches {
+        h.u64(b);
+    }
+    h.u64(*max_micro);
+
+    gpt_words(&mut h, gpt);
+
+    let MemoryEstimatorConfig {
+        train,
+        hidden,
+        depth,
+        soft_margin,
+        seed,
+    } = *config;
+    let TrainConfig {
+        iterations,
+        learning_rate,
+        batch_size,
+        record_every,
+        seed: train_seed,
+    } = train;
+    usize_word(&mut h, iterations);
+    h.u64(learning_rate.to_bits());
+    usize_word(&mut h, batch_size);
+    usize_word(&mut h, record_every);
+    h.u64(train_seed);
+    usize_word(&mut h, hidden);
+    usize_word(&mut h, depth);
+    h.u64(soft_margin.to_bits());
+    h.u64(seed);
+
+    let TrainingOptions {
+        schedule,
+        activation,
+        zero1,
+        virtual_stages,
+        nic_contention,
+    } = truth.options();
+    h.u64(match schedule {
+        PipelineSchedule::GPipe => 0,
+        PipelineSchedule::OneFOneB => 1,
+    });
+    h.u64(match activation {
+        ActivationMode::Full => 0,
+        ActivationMode::Selective => 1,
+        ActivationMode::FullRecompute => 2,
+    });
+    h.u64(u64::from(zero1));
+    usize_word(&mut h, virtual_stages);
+    h.u64(u64::from(nic_contention));
+    h.u64(truth.seed());
+    h.finish()
 }
 
 /// Snapshot of a cache's lookup counters, for reports and telemetry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheCounters {
     /// Lookups answered from memory or disk.
     pub hits: u64,
     /// Lookups that had to train (including corrupt-entry retrains).
     pub misses: u64,
-    /// Disk entries that existed but failed to parse and were retrained
-    /// (each such miss is counted in `misses` too). Nonzero is normal
-    /// exactly once after an estimator schema change; persistent growth
-    /// means something is clobbering the cache directory.
+    /// Disk entries that existed but failed their checks and were
+    /// retrained (each such miss is counted in `misses` too). Nonzero is
+    /// normal exactly once after a snapshot format change; persistent
+    /// growth means something is clobbering the cache directory.
     pub corrupt: u64,
 }
 
 /// What a crash-only startup [`sweep`](TrainedEstimatorCache::sweep) of
 /// the cache directory found and repaired.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepReport {
-    /// JSON entries examined.
+    /// `.idx` entries examined.
     pub scanned: u64,
-    /// Corrupt JSON entries renamed to `.json.corrupt`.
+    /// Defective entries renamed to `.idx.corrupt`.
     pub quarantined: u64,
-    /// Missing or defective `.idx` snapshots rebuilt from valid JSON.
-    pub healed_indexes: u64,
+    /// Leftovers deleted: temp files of writers that exited before
+    /// renaming them into place, and JSON entries of the retired format.
+    pub removed: u64,
 }
 
 /// In-memory (and optionally on-disk) cache of trained memory estimators.
@@ -109,9 +186,9 @@ impl TrainedEstimatorCache {
         Self::default()
     }
 
-    /// A cache that also persists entries as JSON files under `dir`
-    /// (created on first write). Corrupt or unreadable files are treated
-    /// as misses and overwritten.
+    /// A cache that also persists entries as `.idx` snapshots under `dir`
+    /// (created on first write). Corrupt files are quarantined and
+    /// treated as misses.
     pub fn with_dir(dir: impl Into<PathBuf>) -> Self {
         Self {
             dir: Some(dir.into()),
@@ -129,8 +206,8 @@ impl TrainedEstimatorCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Number of on-disk entries that existed but failed to parse (each
-    /// also counted as a miss and retrained).
+    /// Number of on-disk entries that existed but failed their checks
+    /// (each also counted as a miss and retrained).
     pub fn corrupt(&self) -> u64 {
         self.corrupt.load(Ordering::Relaxed)
     }
@@ -164,64 +241,38 @@ impl TrainedEstimatorCache {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn disk_path(&self, fp: u64) -> Option<PathBuf> {
-        self.dir
-            .as_ref()
-            .map(|d| d.join(format!("pipette-mem-estimator-{fp:016x}.json")))
-    }
-
-    /// The binary-snapshot sibling of [`Self::disk_path`], read by mmap
-    /// (see [`mmap_index`]). Purely an acceleration of the JSON entry:
-    /// both deserialize bit-exactly, so whichever answers first is
-    /// interchangeable with the other.
     fn index_path(&self, fp: u64) -> Option<PathBuf> {
         self.dir
             .as_ref()
             .map(|d| d.join(format!("pipette-mem-estimator-{fp:016x}.idx")))
     }
 
+    /// Moves a defective entry to `<name>.idx.corrupt`, so the bad bytes
+    /// stay inspectable and the retrained entry gets a clean slot —
+    /// without the rename the same file would fail (and be silently
+    /// retrained over) every single run.
+    fn quarantine(&self, path: &Path) {
+        self.corrupt.fetch_add(1, Ordering::Relaxed);
+        let _ = std::fs::rename(path, path.with_extension("idx.corrupt"));
+    }
+
     fn load_from_disk(&self, fp: u64) -> Option<MemoryEstimator> {
-        let path = self.disk_path(fp)?;
-        // Fast path: the mmap-backed snapshot, no JSON parsing at all.
+        let path = self.index_path(fp)?;
         // `read_index` refuses anything torn, truncated, stale-versioned,
-        // or checksum-broken, so falling through here is always safe.
-        if let Some(idx) = self.index_path(fp) {
-            if let Some(estimator) = mmap_index::read_index(&idx, fp) {
-                return Some(estimator);
-            }
-            // The snapshot (if any) is unreadable. Unlike a corrupt JSON
-            // entry it carries no unique bytes worth quarantining — it is
-            // a derived artifact — so just drop it; it is rebuilt below.
-            let _ = std::fs::remove_file(&idx);
-        }
-        let text = std::fs::read_to_string(&path).ok()?;
-        // The file exists: a parse failure here is a *corrupt* entry
-        // (truncated write, schema change), not a plain miss. Quarantine
-        // it as `<name>.corrupt` so the bad bytes stay inspectable and the
-        // retrained entry gets a clean slot — without the rename the same
-        // corrupt file would be re-parsed (and silently retrained over)
-        // every single run.
-        match serde_json::from_str(&text) {
-            Ok(estimator) => {
-                // Heal the fast path: the JSON entry was readable but its
-                // snapshot was missing or bad, so rewrite it (best-effort)
-                // and the next cold process maps instead of parsing.
-                if let Some(idx) = self.index_path(fp) {
-                    let _ = mmap_index::write_index(&idx, fp, &estimator);
-                }
-                Some(estimator)
-            }
-            Err(_) => {
-                self.corrupt.fetch_add(1, Ordering::Relaxed);
-                let quarantine = path.with_extension("json.corrupt");
-                let _ = std::fs::rename(&path, quarantine);
+        // mis-keyed or checksum-broken. A file that exists but is refused
+        // is a *corrupt* entry, not a plain miss.
+        match mmap_index::read_index(&path, fp) {
+            Ok(found) => Some(found),
+            Err(IndexError::Missing) => None,
+            Err(IndexError::Defective) => {
+                self.quarantine(&path);
                 None
             }
         }
     }
 
     fn store_to_disk(&self, fp: u64, estimator: &MemoryEstimator) {
-        let Some(path) = self.disk_path(fp) else {
+        let Some(path) = self.index_path(fp) else {
             return;
         };
         // Persistence is best-effort: a read-only disk must not break
@@ -229,26 +280,19 @@ impl TrainedEstimatorCache {
         if let Some(parent) = path.parent() {
             let _ = std::fs::create_dir_all(parent);
         }
-        if let Ok(json) = serde_json::to_string(estimator) {
-            let _ = std::fs::write(path, json);
-        }
-        // Write the binary snapshot alongside (same best-effort policy,
-        // JSON source of truth first). A torn snapshot write fails the
-        // checksum on the next read and falls back to the JSON entry.
-        if let Some(idx) = self.index_path(fp) {
-            let _ = mmap_index::write_index(&idx, fp, estimator);
-        }
+        let _ = mmap_index::write_index(&path, fp, estimator);
     }
 
     /// Crash-only startup sweep of the on-disk cache directory: every
-    /// `pipette-mem-estimator-*.json` entry is parsed eagerly, corrupt
-    /// entries are quarantined as `.json.corrupt` *now* (instead of
-    /// lazily at first lookup), and any missing or defective `.idx`
-    /// snapshot next to a valid entry is rebuilt. After a sweep, every
-    /// remaining entry is known-good: a process that died mid-write
-    /// leaves nothing a later lookup can trip over. Entries are visited
-    /// in path order, so the report is deterministic for a given
-    /// directory state. A no-op (all zeros) for in-memory caches.
+    /// `pipette-mem-estimator-*.idx` entry is checked eagerly and
+    /// defective ones are quarantined as `.idx.corrupt` *now* (instead of
+    /// lazily at first lookup). After a sweep, every remaining entry is
+    /// known-good. The sweep also deletes leftovers no lookup reads: the
+    /// `.idx.tmp-<pid>-<n>` file of a writer that exited before its
+    /// rename (its pid no longer running) and `.json` entries of
+    /// the retired format. Entries are visited in path order, so the
+    /// report is deterministic for a given directory state and set of
+    /// running processes. A no-op (all zeros) for in-memory caches.
     pub fn sweep(&self) -> SweepReport {
         let mut report = SweepReport::default();
         let Some(dir) = &self.dir else {
@@ -260,35 +304,29 @@ impl TrainedEstimatorCache {
         let mut paths: Vec<PathBuf> = entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
         paths.sort();
         for path in paths {
-            let Some(fp) = path
+            let Some(name) = path
                 .file_name()
                 .and_then(|n| n.to_str())
                 .and_then(|n| n.strip_prefix("pipette-mem-estimator-"))
-                .and_then(|n| n.strip_suffix(".json"))
+            else {
+                continue;
+            };
+            if name.ends_with(".json") || mmap_index::abandoned_temp(name) {
+                if std::fs::remove_file(&path).is_ok() {
+                    report.removed += 1;
+                }
+                continue;
+            }
+            let Some(fp) = name
+                .strip_suffix(".idx")
                 .and_then(|hex| u64::from_str_radix(hex, 16).ok())
             else {
                 continue;
             };
             report.scanned += 1;
-            let Ok(text) = std::fs::read_to_string(&path) else {
-                continue;
-            };
-            match serde_json::from_str::<MemoryEstimator>(&text) {
-                Ok(estimator) => {
-                    if let Some(idx) = self.index_path(fp) {
-                        if mmap_index::read_index(&idx, fp).is_none() {
-                            let _ = std::fs::remove_file(&idx);
-                            if mmap_index::write_index(&idx, fp, &estimator).is_ok() {
-                                report.healed_indexes += 1;
-                            }
-                        }
-                    }
-                }
-                Err(_) => {
-                    self.corrupt.fetch_add(1, Ordering::Relaxed);
-                    let _ = std::fs::rename(&path, path.with_extension("json.corrupt"));
-                    report.quarantined += 1;
-                }
+            if mmap_index::read_index(&path, fp) == Err(IndexError::Defective) {
+                self.quarantine(&path);
+                report.quarantined += 1;
             }
         }
         report
@@ -329,9 +367,12 @@ impl TrainedEstimatorCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipette_mlp::TrainConfig;
 
-    fn tiny_inputs() -> (SampleSpec, GptConfig, MemoryEstimatorConfig, MemorySim) {
+    type Inputs = (SampleSpec, GptConfig, MemoryEstimatorConfig, MemorySim);
+    /// One table row: what it changes, and how.
+    type Row<T> = (&'static str, fn(&mut T));
+
+    fn tiny_inputs() -> Inputs {
         let gpt = GptConfig::new(8, 1024, 16, 2048, 51200);
         let spec = SampleSpec {
             gpu_counts: vec![8],
@@ -356,23 +397,78 @@ mod tests {
         (spec, gpt, config, MemorySim::new(1))
     }
 
+    fn fingerprint((spec, gpt, config, truth): &Inputs) -> u64 {
+        estimator_fingerprint(spec, gpt, config, truth)
+    }
+
+    fn entry(dir: &Path, fp: u64) -> PathBuf {
+        dir.join(format!("pipette-mem-estimator-{fp:016x}.idx"))
+    }
+
     #[test]
     fn fingerprint_separates_training_inputs() {
-        let (spec, gpt, config, truth) = tiny_inputs();
-        let base = estimator_fingerprint(&spec, &gpt, &config, &truth);
-        assert_eq!(base, estimator_fingerprint(&spec, &gpt, &config, &truth));
-        let mut other = config;
-        other.soft_margin = 0.2;
-        assert_ne!(base, estimator_fingerprint(&spec, &gpt, &other, &truth));
-        let mut other = config;
-        other.train.iterations += 1;
-        assert_ne!(base, estimator_fingerprint(&spec, &gpt, &other, &truth));
-        let mut other_spec = spec.clone();
-        other_spec.max_micro = 4;
-        assert_ne!(
-            base,
-            estimator_fingerprint(&other_spec, &gpt, &config, &truth)
-        );
+        fn options(i: &mut Inputs, edit: fn(&mut TrainingOptions)) {
+            let mut o = i.3.options();
+            edit(&mut o);
+            i.3 = i.3.with_options(o);
+        }
+        let rows: [Row<Inputs>; 25] = [
+            ("train.iterations", |i| i.2.train.iterations += 1),
+            ("train.learning_rate", |i| i.2.train.learning_rate *= 2.0),
+            ("train.batch_size", |i| i.2.train.batch_size += 1),
+            ("train.record_every", |i| i.2.train.record_every += 1),
+            ("train.seed", |i| i.2.train.seed += 1),
+            ("hidden", |i| i.2.hidden += 1),
+            ("depth", |i| i.2.depth += 1),
+            ("soft_margin", |i| i.2.soft_margin = 0.2),
+            ("seed", |i| i.2.seed += 1),
+            ("spec.gpu_counts", |i| i.0.gpu_counts.push(16)),
+            ("spec.gpus_per_node", |i| i.0.gpus_per_node = 4),
+            ("spec.models", |i| i.0.models[0].n_layers += 1),
+            ("spec.global_batches", |i| i.0.global_batches.push(64)),
+            ("spec.max_micro", |i| i.0.max_micro = 4),
+            ("gpt.n_layers", |i| i.1.n_layers += 1),
+            ("gpt.hidden", |i| i.1.hidden += 16),
+            ("gpt.n_heads", |i| i.1.n_heads = 8),
+            ("gpt.seq_len", |i| i.1.seq_len = 1024),
+            ("gpt.vocab", |i| i.1.vocab += 1),
+            ("truth.seed", |i| {
+                i.3 = MemorySim::new(2).with_options(i.3.options())
+            }),
+            ("options.schedule", |i| {
+                options(i, |o| o.schedule = PipelineSchedule::GPipe)
+            }),
+            ("options.activation", |i| {
+                options(i, |o| o.activation = ActivationMode::Selective)
+            }),
+            ("options.zero1", |i| options(i, |o| o.zero1 = true)),
+            ("options.virtual_stages", |i| {
+                options(i, |o| o.virtual_stages = 2)
+            }),
+            ("options.nic_contention", |i| {
+                options(i, |o| o.nic_contention = true)
+            }),
+        ];
+        let base = tiny_inputs();
+        assert_eq!(fingerprint(&base), fingerprint(&tiny_inputs()));
+        let mut seen = BTreeMap::new();
+        seen.insert(fingerprint(&base), "base");
+        for (field, edit) in rows {
+            let mut inputs = tiny_inputs();
+            edit(&mut inputs);
+            if let Some(clash) = seen.insert(fingerprint(&inputs), field) {
+                panic!("changing {field} gives the fingerprint of {clash}");
+            }
+        }
+        // Length prefixes keep a value from moving between adjacent
+        // vectors unnoticed.
+        let mut moved = tiny_inputs();
+        moved.0.gpu_counts = vec![8, 32];
+        moved.0.global_batches = vec![];
+        let mut kept = tiny_inputs();
+        kept.0.gpu_counts = vec![8];
+        kept.0.global_batches = vec![32, 32];
+        assert_ne!(fingerprint(&moved), fingerprint(&kept));
     }
 
     #[test]
@@ -408,51 +504,53 @@ mod tests {
     #[test]
     fn corrupt_disk_entry_retrains() {
         let (spec, gpt, config, truth) = tiny_inputs();
-        let dir = std::env::temp_dir().join("pipette-estimator-cache-corrupt");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
         let fp = estimator_fingerprint(&spec, &gpt, &config, &truth);
-        std::fs::write(
-            dir.join(format!("pipette-mem-estimator-{fp:016x}.json")),
-            "not json",
-        )
-        .unwrap();
-        let cache = TrainedEstimatorCache::with_dir(&dir);
-        let _ = cache.get_or_train(&spec, &gpt, &config, &truth, 1);
-        assert_eq!(
-            cache.counters(),
-            CacheCounters {
-                hits: 0,
-                misses: 1,
-                corrupt: 1,
-            }
-        );
-        // The corrupt bytes are quarantined, not overwritten: the slot now
-        // holds the retrained entry and the `.corrupt` file keeps the
-        // original for inspection.
-        let entry = dir.join(format!("pipette-mem-estimator-{fp:016x}.json"));
-        let quarantined = entry.with_extension("json.corrupt");
-        assert_eq!(
-            std::fs::read_to_string(&quarantined).unwrap(),
-            "not json",
-            "quarantine file preserves the corrupt bytes"
-        );
-        assert!(
-            serde_json::from_str::<MemoryEstimator>(&std::fs::read_to_string(&entry).unwrap())
-                .is_ok()
-        );
-        // A second cold cache now hits the retrained entry cleanly.
-        let warm = TrainedEstimatorCache::with_dir(&dir);
-        let _ = warm.get_or_train(&spec, &gpt, &config, &truth, 1);
-        assert_eq!(
-            warm.counters(),
-            CacheCounters {
-                hits: 1,
-                misses: 0,
-                corrupt: 0,
-            }
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+        let rows: [Row<Vec<u8>>; 4] = [
+            ("garbage bytes", |b| {
+                *b = b"definitely not a snapshot".to_vec()
+            }),
+            ("half-truncated", |b| b.truncate(b.len() / 2)),
+            ("flipped payload byte", |b| {
+                let mid = mmap_index::HEADER_LEN + (b.len() - mmap_index::HEADER_LEN) / 2;
+                b[mid] ^= 0x40;
+            }),
+            ("wrong header fingerprint", |b| {
+                b[16..24].copy_from_slice(&0xdead_beef_u64.to_le_bytes())
+            }),
+        ];
+        for (defect, damage) in rows {
+            let dir = std::env::temp_dir().join("pipette-estimator-cache-corrupt");
+            let _ = std::fs::remove_dir_all(&dir);
+            let trained =
+                TrainedEstimatorCache::with_dir(&dir).get_or_train(&spec, &gpt, &config, &truth, 1);
+            let idx = entry(&dir, fp);
+            let mut bytes = std::fs::read(&idx).unwrap();
+            damage(&mut bytes);
+            std::fs::write(&idx, &bytes).unwrap();
+
+            let cache = TrainedEstimatorCache::with_dir(&dir);
+            let retrained = cache.get_or_train(&spec, &gpt, &config, &truth, 1);
+            assert_eq!(
+                cache.counters(),
+                CacheCounters {
+                    hits: 0,
+                    misses: 1,
+                    corrupt: 1,
+                },
+                "{defect}"
+            );
+            assert_eq!(retrained, trained, "{defect}");
+            // The corrupt bytes are quarantined, not overwritten: the slot
+            // now holds the retrained entry and the `.corrupt` file keeps
+            // the damaged original for inspection.
+            assert_eq!(
+                std::fs::read(idx.with_extension("idx.corrupt")).unwrap(),
+                bytes,
+                "{defect}: quarantine file preserves the corrupt bytes"
+            );
+            assert_eq!(mmap_index::read_index(&idx, fp), Ok(trained), "{defect}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -464,64 +562,13 @@ mod tests {
             let cold = TrainedEstimatorCache::with_dir(&dir);
             cold.get_or_train(&spec, &gpt, &config, &truth, 1)
         };
-        // Remove the JSON entry so only the binary snapshot can answer:
-        // this pins the lookup to the mmap path, and the estimator it
-        // yields must be the bit-exact original.
+        // The store leaves exactly one entry and no temp file behind.
         let fp = estimator_fingerprint(&spec, &gpt, &config, &truth);
-        std::fs::remove_file(dir.join(format!("pipette-mem-estimator-{fp:016x}.json"))).unwrap();
-        let warm = TrainedEstimatorCache::with_dir(&dir);
-        let reloaded = warm.get_or_train(&spec, &gpt, &config, &truth, 1);
-        assert_eq!((warm.hits(), warm.misses()), (1, 0));
-        assert_eq!(reloaded, trained);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_index_falls_back_to_json_and_heals() {
-        let (spec, gpt, config, truth) = tiny_inputs();
-        let dir = std::env::temp_dir().join("pipette-estimator-cache-idx-corrupt");
-        let _ = std::fs::remove_dir_all(&dir);
-        let trained = {
-            let cold = TrainedEstimatorCache::with_dir(&dir);
-            cold.get_or_train(&spec, &gpt, &config, &truth, 1)
-        };
-        let fp = estimator_fingerprint(&spec, &gpt, &config, &truth);
-        let idx = dir.join(format!("pipette-mem-estimator-{fp:016x}.idx"));
-        std::fs::write(&idx, b"definitely not a snapshot").unwrap();
-        let warm = TrainedEstimatorCache::with_dir(&dir);
-        let reloaded = warm.get_or_train(&spec, &gpt, &config, &truth, 1);
-        // Still a clean hit (via JSON), still bit-exact, and *not* counted
-        // as corrupt — the JSON source of truth was fine.
-        assert_eq!(
-            warm.counters(),
-            CacheCounters {
-                hits: 1,
-                misses: 0,
-                corrupt: 0,
-            }
-        );
-        assert_eq!(reloaded, trained);
-        // The fallback healed the snapshot: it now round-trips again.
-        assert_eq!(
-            super::super::mmap_index::read_index(&idx, fp),
-            Some(trained)
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn truncated_index_falls_back_to_json() {
-        let (spec, gpt, config, truth) = tiny_inputs();
-        let dir = std::env::temp_dir().join("pipette-estimator-cache-idx-truncated");
-        let _ = std::fs::remove_dir_all(&dir);
-        let trained = {
-            let cold = TrainedEstimatorCache::with_dir(&dir);
-            cold.get_or_train(&spec, &gpt, &config, &truth, 1)
-        };
-        let fp = estimator_fingerprint(&spec, &gpt, &config, &truth);
-        let idx = dir.join(format!("pipette-mem-estimator-{fp:016x}.idx"));
-        let bytes = std::fs::read(&idx).unwrap();
-        std::fs::write(&idx, &bytes[..bytes.len() / 2]).unwrap();
+        let files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(files, [format!("pipette-mem-estimator-{fp:016x}.idx")]);
         let warm = TrainedEstimatorCache::with_dir(&dir);
         let reloaded = warm.get_or_train(&spec, &gpt, &config, &truth, 1);
         assert_eq!((warm.hits(), warm.misses()), (1, 0));
@@ -539,15 +586,19 @@ mod tests {
             cold.get_or_train(&spec, &gpt, &config, &truth, 1)
         };
         let fp = estimator_fingerprint(&spec, &gpt, &config, &truth);
-        // Simulate a crash: a second entry died mid-write (truncated
-        // JSON) and the good entry's snapshot got torn.
-        std::fs::write(
-            dir.join("pipette-mem-estimator-00000000deadbeef.json"),
-            "{\"truncat",
-        )
-        .unwrap();
-        let idx = dir.join(format!("pipette-mem-estimator-{fp:016x}.idx"));
-        std::fs::write(&idx, b"torn").unwrap();
+        // Simulate a crash: a second entry was torn on disk.
+        let torn = entry(&dir, 0xdead_beef);
+        std::fs::write(&torn, b"torn").unwrap();
+        // Leftovers: a retired-format JSON entry, the temp file of a
+        // writer that is gone (no pid is this large) and one of this
+        // still-running process, which must be kept.
+        let legacy = torn.with_extension("json");
+        let dead_tmp = torn.with_extension(format!("idx.tmp-{}-0", u32::MAX));
+        let live_tmp = torn.with_extension(format!("idx.tmp-{}-0", std::process::id()));
+        for leftover in [&legacy, &dead_tmp, &live_tmp] {
+            std::fs::write(leftover, b"{}").unwrap();
+        }
+        let procfs = Path::new("/proc/self").exists();
         let cache = TrainedEstimatorCache::with_dir(&dir);
         let report = cache.sweep();
         assert_eq!(
@@ -555,30 +606,28 @@ mod tests {
             SweepReport {
                 scanned: 2,
                 quarantined: 1,
-                healed_indexes: 1,
+                removed: 1 + u64::from(procfs),
             }
         );
+        assert!(!legacy.exists());
+        assert_eq!(dead_tmp.exists(), !procfs);
+        assert!(live_tmp.exists());
+        std::fs::remove_file(&live_tmp).unwrap();
         assert_eq!(cache.corrupt(), 1);
         // The torn entry is quarantined with its bytes intact...
         assert_eq!(
-            std::fs::read_to_string(
-                dir.join("pipette-mem-estimator-00000000deadbeef.json.corrupt")
-            )
-            .unwrap(),
-            "{\"truncat"
+            std::fs::read(torn.with_extension("idx.corrupt")).unwrap(),
+            b"torn"
         );
-        // ...and the healed snapshot round-trips the good estimator.
-        assert_eq!(
-            super::super::mmap_index::read_index(&idx, fp),
-            Some(trained)
-        );
+        // ...and the good entry still round-trips the estimator.
+        assert_eq!(mmap_index::read_index(&entry(&dir, fp), fp), Ok(trained));
         // A second sweep finds a fully healthy directory.
         assert_eq!(
             cache.sweep(),
             SweepReport {
                 scanned: 1,
                 quarantined: 0,
-                healed_indexes: 0,
+                removed: 0,
             }
         );
         let _ = std::fs::remove_dir_all(&dir);

@@ -1,15 +1,13 @@
-//! Binary, mmap-readable snapshots of trained memory estimators.
+//! Binary, mmap-readable snapshots of trained memory estimators — the
+//! only on-disk form of an estimator-cache entry (see [`super::cache`]).
 //!
-//! The JSON cache entries (see [`super::cache`]) are the durable,
-//! inspectable source of truth — this module adds a *fixed-layout* `.idx`
-//! sibling per entry so that readers (many concurrent configurator
-//! workers, the future `pipette-serve` daemon) load an estimator with no
-//! text parsing at all: the file is mapped (or read) once, the header is
-//! validated, and every weight is copied straight out of the
-//! little-endian payload at a known offset. Numbers survive bit-exactly
-//! by construction — `f64::to_le_bytes` round-trips — so a snapshot-
-//! loaded estimator predicts byte-identically to the JSON path (which is
-//! itself bit-exact; both are test-covered in `tests/estimator_cache.rs`).
+//! Readers (many concurrent configurator workers, the `pipette serve`
+//! daemon) load an estimator with no text parsing at all: the file is
+//! mapped (or read) once, the header is validated, and every weight is
+//! copied straight out of the little-endian payload at a known offset.
+//! Numbers survive bit-exactly by construction — `f64::to_le_bytes`
+//! round-trips — so a snapshot-loaded estimator predicts byte-identically
+//! to the freshly trained one (test-covered in `tests/estimator_cache.rs`).
 //!
 //! ## Layout (all little-endian)
 //!
@@ -32,37 +30,35 @@
 //!
 //! ## Corruption policy
 //!
-//! `read_index` returns `None` — never an error, never a partial value —
-//! on *any* defect: short file, bad magic, version or fingerprint
-//! mismatch, checksum mismatch, truncated payload, or counts that do not
-//! fit the remaining bytes. The caller falls back to the JSON entry and
-//! rewrites the snapshot, so a torn write costs one parse, not a wrong
-//! answer.
+//! `write_index` writes a uniquely named temp file
+//! (`<entry>.idx.tmp-<pid>-<n>`) in the target directory and renames it
+//! into place, so a crash never leaves a torn entry under the final name;
+//! it can leave the temp file, which the cache's startup sweep deletes
+//! once [`abandoned_temp`] finds its writer gone. `read_index` returns
+//! `Missing` when there is no file and `Defective` — never a partial
+//! value — on *any* defect: unreadable or short file, bad magic, version
+//! or fingerprint mismatch, checksum mismatch, truncated payload, or
+//! counts that do not fit the remaining bytes. The cache quarantines a
+//! defective file and retrains, so a damaged entry costs one training
+//! run, not a wrong answer.
 
 // The crate denies unsafe_code; this module is the single opt-out — two
 // audited unsafe blocks (the mmap syscall and the slice view over the
 // mapping) live in `mmap_sys` below, each with a SAFETY comment.
 #![allow(unsafe_code)]
 
+use crate::fnv::fnv1a64;
 use crate::memory::estimator::MemoryEstimator;
 use pipette_mlp::{Dense, Matrix, Mlp, StandardScaler};
+use std::io::Read as _;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::memory::estimator::TrainSummary;
 
 const MAGIC: [u8; 8] = *b"PIPMEMIX";
 const VERSION: u32 = 1;
-const HEADER_LEN: usize = 40;
-
-/// FNV-1a over the payload (same constants as the cache fingerprint).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in bytes {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+pub(crate) const HEADER_LEN: usize = 40;
 
 /// Read-only view of a file: memory-mapped on unix, buffered elsewhere
 /// (and whenever mapping fails — empty files, exotic filesystems).
@@ -73,14 +69,17 @@ enum FileBytes {
 }
 
 impl FileBytes {
-    fn open(path: &Path) -> Option<Self> {
+    fn open(path: &Path) -> std::io::Result<Self> {
+        let mut file = std::fs::File::open(path)?;
         #[cfg(unix)]
         {
-            if let Some(mapped) = mmap_sys::MappedFile::open(path) {
-                return Some(FileBytes::Mapped(mapped));
+            if let Some(mapped) = mmap_sys::MappedFile::map(&file) {
+                return Ok(FileBytes::Mapped(mapped));
             }
         }
-        std::fs::read(path).ok().map(FileBytes::Owned)
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        Ok(FileBytes::Owned(bytes))
     }
 
     fn bytes(&self) -> &[u8] {
@@ -99,7 +98,6 @@ impl FileBytes {
 mod mmap_sys {
     use std::fs::File;
     use std::os::unix::io::AsRawFd;
-    use std::path::Path;
 
     const PROT_READ: i32 = 1;
     const MAP_PRIVATE: i32 = 2;
@@ -128,11 +126,10 @@ mod mmap_sys {
     unsafe impl Sync for MappedFile {}
 
     impl MappedFile {
-        /// Maps `path` read-only, or `None` when anything fails (missing
-        /// file, zero length — `mmap` rejects empty ranges — or platform
-        /// refusal); the caller then falls back to a buffered read.
-        pub(super) fn open(path: &Path) -> Option<Self> {
-            let file = File::open(path).ok()?;
+        /// Maps `file` read-only, or `None` when anything fails (zero
+        /// length — `mmap` rejects empty ranges — or platform refusal);
+        /// the caller then falls back to a buffered read.
+        pub(super) fn map(file: &File) -> Option<Self> {
             let len = usize::try_from(file.metadata().ok()?.len()).ok()?;
             if len == 0 {
                 return None;
@@ -348,8 +345,11 @@ fn decode_payload(payload: &[u8]) -> Option<MemoryEstimator> {
 }
 
 /// Writes the binary snapshot of `estimator` for cache key `fingerprint`
-/// to `path`. Best-effort like the JSON writer: an error only costs the
-/// fast read path, never correctness.
+/// to `path`, atomically: the bytes go to a temp file beside `path`
+/// (named by process id and a per-process counter, so concurrent writers
+/// never share one) that is then renamed over it. There is no fsync: a
+/// file torn by power loss fails the checksum and is retrained. An error
+/// only costs a retrain in a later process, never correctness.
 pub(crate) fn write_index(
     path: &Path,
     fingerprint: u64,
@@ -362,17 +362,65 @@ pub(crate) fn write_index(
     file.extend_from_slice(&0u32.to_le_bytes());
     file.extend_from_slice(&fingerprint.to_le_bytes());
     file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    file.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+    file.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
     file.extend_from_slice(&payload);
-    std::fs::write(path, file)
+    static WRITES: AtomicU64 = AtomicU64::new(0);
+    let tmp = path.with_extension(format!(
+        "idx{TEMP_MARK}{}-{}",
+        std::process::id(),
+        WRITES.fetch_add(1, Ordering::Relaxed)
+    ));
+    let written = std::fs::write(&tmp, file).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
+}
+
+/// Between an entry's `.idx` and the `<pid>-<n>` tag of its temp file.
+const TEMP_MARK: &str = ".tmp-";
+
+/// Whether `name` is a [`write_index`] temp file whose writer has exited,
+/// so no rename will ever claim it. Liveness comes from `/proc`; where
+/// there is none, every temp file is kept, since its writer may still be
+/// running.
+pub(crate) fn abandoned_temp(name: &str) -> bool {
+    let Some(pid) = name
+        .split_once(&format!(".idx{TEMP_MARK}"))
+        .and_then(|(_, tag)| tag.split_once('-'))
+        .and_then(|(pid, _)| pid.parse::<u32>().ok())
+    else {
+        return false;
+    };
+    let procfs = Path::new("/proc");
+    procfs.join("self").exists() && !procfs.join(pid.to_string()).exists()
+}
+
+/// Why [`read_index`] returned no estimator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum IndexError {
+    /// No file at the path: a plain miss.
+    Missing,
+    /// A file that could not be read or failed a check: a corrupt entry.
+    Defective,
 }
 
 /// Loads the snapshot at `path` if — and only if — it is intact and was
-/// written for `fingerprint`. Any defect returns `None` (see the module
-/// docs' corruption policy).
-pub(crate) fn read_index(path: &Path, fingerprint: u64) -> Option<MemoryEstimator> {
-    let file = FileBytes::open(path)?;
-    let bytes = file.bytes();
+/// written for `fingerprint`. A file that is not there is
+/// [`IndexError::Missing`]; one that cannot be read or has any defect is
+/// [`IndexError::Defective`] (see the module docs' corruption policy).
+/// Both come from the one open, so no second filesystem call can race a
+/// concurrent writer's rename.
+pub(crate) fn read_index(path: &Path, fingerprint: u64) -> Result<MemoryEstimator, IndexError> {
+    let file = FileBytes::open(path).map_err(|e| match e.kind() {
+        std::io::ErrorKind::NotFound => IndexError::Missing,
+        _ => IndexError::Defective,
+    })?;
+    decode_file(file.bytes(), fingerprint).ok_or(IndexError::Defective)
+}
+
+/// Checks the header of a whole snapshot file and decodes its payload.
+fn decode_file(bytes: &[u8], fingerprint: u64) -> Option<MemoryEstimator> {
     if bytes.len() < HEADER_LEN || bytes[..8] != MAGIC {
         return None;
     }
@@ -387,7 +435,7 @@ pub(crate) fn read_index(path: &Path, fingerprint: u64) -> Option<MemoryEstimato
     let payload_len = header.usize()?;
     let checksum = header.u64()?;
     let payload = bytes.get(HEADER_LEN..)?;
-    if payload.len() != payload_len || fnv1a(payload) != checksum {
+    if payload.len() != payload_len || fnv1a64(payload) != checksum {
         return None;
     }
     decode_payload(payload)
@@ -459,8 +507,8 @@ mod tests {
         let estimator = tiny_estimator();
         let path = temp_path("fingerprint.idx");
         write_index(&path, 1, &estimator).unwrap();
-        assert!(read_index(&path, 2).is_none());
-        assert!(read_index(&path, 1).is_some());
+        assert!(read_index(&path, 2) == Err(IndexError::Defective));
+        assert!(read_index(&path, 1).is_ok());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -474,10 +522,13 @@ mod tests {
         // payload cuts, and the empty file alike.
         for keep in [0, 1, 8, 16, HEADER_LEN - 1, HEADER_LEN, full.len() - 1] {
             std::fs::write(&path, &full[..keep]).unwrap();
-            assert!(read_index(&path, 7).is_none(), "prefix of {keep} accepted");
+            assert!(
+                read_index(&path, 7) == Err(IndexError::Defective),
+                "prefix of {keep} accepted"
+            );
         }
         std::fs::write(&path, &full).unwrap();
-        assert!(read_index(&path, 7).is_some());
+        assert!(read_index(&path, 7).is_ok());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -490,7 +541,7 @@ mod tests {
         let mid = HEADER_LEN + (bytes.len() - HEADER_LEN) / 2;
         bytes[mid] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
-        assert!(read_index(&path, 9).is_none());
+        assert!(read_index(&path, 9) == Err(IndexError::Defective));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -502,13 +553,16 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes.extend_from_slice(&[0u8; 16]);
         std::fs::write(&path, &bytes).unwrap();
-        assert!(read_index(&path, 3).is_none(), "length check must catch");
+        assert!(
+            read_index(&path, 3) == Err(IndexError::Defective),
+            "length check must catch"
+        );
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn missing_file_is_a_clean_none() {
-        assert!(read_index(Path::new("/nonexistent/p.idx"), 0).is_none());
+        assert!(read_index(Path::new("/nonexistent/p.idx"), 0) == Err(IndexError::Missing));
     }
 
     #[test]
@@ -520,11 +574,11 @@ mod tests {
         let good = bytes.clone();
         bytes[0] = b'X';
         std::fs::write(&path, &bytes).unwrap();
-        assert!(read_index(&path, 5).is_none());
+        assert!(read_index(&path, 5) == Err(IndexError::Defective));
         bytes = good;
         bytes[8] = 99; // version
         std::fs::write(&path, &bytes).unwrap();
-        assert!(read_index(&path, 5).is_none());
+        assert!(read_index(&path, 5) == Err(IndexError::Defective));
         let _ = std::fs::remove_file(&path);
     }
 }

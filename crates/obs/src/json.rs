@@ -393,7 +393,7 @@ impl<'a> Obj<'a> {
     /// Writes an unsigned integer member.
     pub fn uint(&mut self, name: &str, v: u64) {
         self.key(name);
-        let _ = write!(self.out, "{v}");
+        push_uint(self.out, v);
     }
 
     /// Writes a float member ([`push_f64`]).
@@ -420,10 +420,57 @@ impl<'a> Obj<'a> {
         self.out.push_str(v);
     }
 
+    /// Writes a nested object member whose members `fill` writes.
+    pub fn object(&mut self, name: &str, fill: impl FnOnce(&mut Obj<'_>)) {
+        self.key(name);
+        push_object(self.out, fill);
+    }
+
+    /// Writes an array member, each element written by `push`
+    /// ([`push_array`]).
+    pub fn array<I: IntoIterator>(
+        &mut self,
+        name: &str,
+        items: I,
+        push: impl FnMut(&mut String, I::Item),
+    ) {
+        self.key(name);
+        push_array(self.out, items, push);
+    }
+
     /// Ends the object.
     pub fn close(self) {
         self.out.push('}');
     }
+}
+
+/// Appends one object whose members `fill` writes.
+pub fn push_object(out: &mut String, fill: impl FnOnce(&mut Obj<'_>)) {
+    let mut o = Obj::open(out);
+    fill(&mut o);
+    o.close();
+}
+
+/// Appends `items` as one JSON array, each element written by `push`
+/// (e.g. [`push_uint`], [`push_f64`], [`push_object`]).
+pub fn push_array<I: IntoIterator>(
+    out: &mut String,
+    items: I,
+    mut push: impl FnMut(&mut String, I::Item),
+) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push(out, item);
+    }
+    out.push(']');
+}
+
+/// Appends an unsigned integer.
+pub fn push_uint(out: &mut String, v: u64) {
+    let _ = write!(out, "{v}");
 }
 
 /// Appends the shortest-round-trip form of `v`; non-finite values become
@@ -473,27 +520,12 @@ fn push_value(out: &mut String, value: &JsonValue) {
         JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         JsonValue::Number(n) => push_f64(out, *n),
         JsonValue::String(s) => push_json_string(out, s),
-        JsonValue::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                push_value(out, item);
+        JsonValue::Array(items) => push_array(out, items, push_value),
+        JsonValue::Object(members) => push_object(out, |o| {
+            for (k, v) in members {
+                o.key(k);
+                push_value(o.out, v);
             }
-            out.push(']');
-        }
-        JsonValue::Object(members) => {
-            out.push('{');
-            for (i, (k, v)) in members.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                push_json_string(out, k);
-                out.push(':');
-                push_value(out, v);
-            }
-            out.push('}');
-        }
+        }),
     }
 }

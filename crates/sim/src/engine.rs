@@ -15,10 +15,9 @@
 //! transitively waits on a full round trip through the pipeline.
 
 use crate::schedule::{PipelineSchedule, Task, TaskKind};
-use serde::{Deserialize, Serialize};
 
 /// Inputs for one pipeline chain simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChainSpec {
     /// Number of pipeline stages.
     pub pp: usize,
@@ -37,7 +36,7 @@ pub struct ChainSpec {
 }
 
 /// Timing results of a chain simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChainResult {
     /// Finish time of the entire chain (last backward anywhere).
     pub makespan: f64,

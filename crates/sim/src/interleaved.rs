@@ -15,10 +15,9 @@
 //! groups of `pp` and chunks rotating within each group.
 
 use crate::schedule::{Task, TaskKind};
-use serde::{Deserialize, Serialize};
 
 /// Decomposition of a device-local work item.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkTask {
     /// Model-chunk index on this device, `0..v`.
     pub chunk: usize,
@@ -124,7 +123,7 @@ pub fn peak_inflight_weighted(
 
 /// Timing inputs for one interleaved pipeline chain: `pp · v` virtual
 /// stages, with per-virtual-stage durations and per-hop transfer times.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VirtualChainSpec {
     /// Devices (pipeline depth).
     pub pp: usize,
@@ -145,7 +144,7 @@ pub struct VirtualChainSpec {
 }
 
 /// Timing results of an interleaved chain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VirtualChainResult {
     /// Finish time of the whole chain.
     pub makespan: f64,

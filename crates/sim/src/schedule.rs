@@ -11,11 +11,10 @@
 //!   *hidden critical path*: the first stage cannot start forward `m + pp`
 //!   before backward `m` has returned through the entire pipeline.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which pass a task performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskKind {
     /// Forward pass of one microbatch.
     Forward,
@@ -24,7 +23,7 @@ pub enum TaskKind {
 }
 
 /// One unit of pipeline work: a pass over one microbatch at one stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Task {
     /// Forward or backward.
     pub kind: TaskKind,
@@ -42,7 +41,7 @@ impl fmt::Display for Task {
 }
 
 /// The pipeline schedule family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PipelineSchedule {
     /// All forwards, then all backwards (Fig. 2a).
     GPipe,
