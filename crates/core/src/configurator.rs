@@ -18,8 +18,8 @@ use crate::cancel::{CancelToken, DeadlineReport};
 use crate::error::ConfigureError;
 use crate::latency::{LatencyExplanation, PipetteLatencyModel};
 use crate::mapping::{
-    AnnealStats, Annealer, AnnealerConfig, IncrementalObjective, NoOpObserver,
-    ParallelTemperingAnnealer, TemperingSchedule,
+    AnnealStats, AnnealerConfig, IncrementalObjective, NoOpObserver, ParallelTemperingAnnealer,
+    TemperingSchedule,
 };
 use crate::memory::{
     analytic_prior, collect_samples_cancellable, collect_samples_parallel, CacheCounters,
@@ -65,7 +65,7 @@ pub struct PipetteOptions {
     /// the classic single chain, bit-identical to every earlier release.
     /// Deliberately *not* defaulted from `threads`: the recommendation
     /// must never depend on the machine's core count, so widening the
-    /// ladder is an explicit opt-in ([`PipetteOptions::with_tempering`]).
+    /// ladder is an explicit opt-in.
     pub replicas: usize,
     /// Iterations each tempering chain runs between replica-exchange
     /// rounds. Ignored when `replicas == 1`.
@@ -124,17 +124,6 @@ impl PipetteOptions {
     /// dedication.
     pub fn latency_only(mut self) -> Self {
         self.use_worker_dedication = false;
-        self
-    }
-
-    /// Opts into parallel tempering with a ladder sized for `threads`
-    /// workers ([`TemperingSchedule::for_threads`]). The result is still
-    /// bit-identical at any *runtime* thread count — only this explicit
-    /// replica choice changes the search trajectory.
-    pub fn with_tempering(mut self, threads: usize) -> Self {
-        let schedule = TemperingSchedule::for_threads(threads);
-        self.replicas = schedule.replicas;
-        self.exchange_interval = schedule.exchange_interval;
         self
     }
 }
@@ -588,31 +577,25 @@ impl<'a> Pipette<'a> {
                         );
                         Some((e, start.elapsed(), cache.hits() > hits_before))
                     }
-                    (None, None) => match &self.cancel {
-                        Some(token) => {
-                            // pipette-lint: allow(D1) -- wall time feeds the report's training_seconds only; the trained weights depend on the seed alone
-                            let start = Instant::now();
-                            let (spec, truth) = self.profiling_spec();
-                            collect_samples_cancellable(
-                                &spec,
-                                &truth,
+                    (None, None) => {
+                        // pipette-lint: allow(D1) -- wall time feeds the report's training_seconds only; the trained weights depend on the seed alone
+                        let start = Instant::now();
+                        let (spec, truth) = self.profiling_spec();
+                        collect_samples_cancellable(
+                            &spec,
+                            &truth,
+                            self.options.threads,
+                            self.cancel.as_ref(),
+                        )
+                        .map(|samples| {
+                            let e = MemoryEstimator::train_with_threads(
+                                &samples,
+                                &self.options.memory,
                                 self.options.threads,
-                                Some(token),
-                            )
-                            .map(|samples| {
-                                let e = MemoryEstimator::train_with_threads(
-                                    &samples,
-                                    &self.options.memory,
-                                    self.options.threads,
-                                );
-                                (e, start.elapsed(), false)
-                            })
-                        }
-                        None => {
-                            let (e, t, _) = self.train_memory_estimator();
-                            Some((e, t, false))
-                        }
-                    },
+                            );
+                            (e, start.elapsed(), false)
+                        })
+                    }
                 };
             match trained {
                 Some((estimator, training_time, cached)) => {
@@ -830,91 +813,122 @@ impl<'a> Pipette<'a> {
             None
         };
 
-        if self.options.use_worker_dedication && replicas > 1 {
-            // Parallel tempering: the thread budget moves *inside* each
-            // pass (replicas spread across workers, rendezvousing at
-            // exchange rounds), so candidates run sequentially. Every
-            // chain is seeded by (candidate, replica) and exchanges are
-            // keyed by (round, pair), so the result — and the merged
-            // child-trace stream — is identical at any thread count.
+        if self.options.use_worker_dedication {
+            // Every pass is seeded by its candidate index, every chain by
+            // (candidate, replica), and exchanges by (round, pair), so the
+            // annealed results are independent of thread count. A single
+            // chain per pass spends the thread budget across candidates; a
+            // ladder spends it on its replicas, one candidate at a time.
+            // Traced passes record into child traces absorbed below in
+            // candidate order — the merged stream never depends on thread
+            // scheduling.
             let k = self.options.sa_top_k.max(1).min(candidates.len());
             let schedule = TemperingSchedule {
                 replicas,
                 exchange_interval: self.options.exchange_interval.max(1),
                 ..TemperingSchedule::default()
             };
-            let mut exchanges_attempted = 0usize;
-            let mut exchanges_accepted = 0usize;
-            for (i, cand) in candidates[..k].iter().enumerate() {
-                let initial = Mapping::identity(cand.config, *topo);
-                let mut sa_cfg = self.options.annealer;
-                sa_cfg.seed = self.options.seed.wrapping_add(i as u64);
-                // Deadline cap: the remaining budget buys `remaining /
-                // replicas` steps per chain; a zero cap still runs the
-                // opening evaluations, so a fully-spent budget returns
-                // the identity-mapped candidate instead of erroring.
-                if let Some(b) = budget {
-                    let per_replica = b.saturating_sub(spent_units) / replicas as u64;
-                    let cap = sa_cfg
-                        .iterations
-                        .min(usize::try_from(per_replica).unwrap_or(usize::MAX));
-                    if cap < sa_cfg.iterations {
+            // Deadline caps, precomputed sequentially in candidate order so
+            // the per-candidate step budget — and thus the annealed result
+            // — never depends on worker scheduling. The remaining budget
+            // buys `remaining / replicas` steps per chain; a zero cap still
+            // runs the opening evaluations, so a fully-spent budget returns
+            // the identity-mapped candidate instead of erroring.
+            let caps: Vec<usize> = (0..k)
+                .map(|_| {
+                    let full = self.options.annealer.iterations;
+                    let cap = match budget {
+                        Some(b) => full.min(
+                            usize::try_from(b.saturating_sub(spent_units) / replicas as u64)
+                                .unwrap_or(usize::MAX),
+                        ),
+                        None => full,
+                    };
+                    if cap < full {
                         truncated = true;
                     }
-                    sa_cfg.iterations = cap;
-                }
-                spent_units = spent_units
-                    .saturating_add((sa_cfg.iterations as u64).saturating_mul(replicas as u64));
-                let pt = ParallelTemperingAnnealer::new(sa_cfg, schedule);
-                let make_objective = |_replica: usize, init: &Mapping| {
-                    IncrementalObjective::new(
-                        latency.matrix(),
-                        self.gpt,
-                        cand.plan,
-                        &cand.compute,
-                        init,
-                    )
-                };
-                let (mapping, cost, stats) = match trace.as_deref_mut() {
-                    Some(t) => {
-                        let mut children: Vec<Trace> = (0..replicas).map(|_| t.child()).collect();
-                        let mut exchange_child = t.child();
-                        let exchange_span = exchange_child.open_span("exchange");
-                        let mut observers: Vec<SaTraceObserver> = children
-                            .iter_mut()
-                            .enumerate()
-                            .map(|(r, c)| SaTraceObserver::for_replica(c, i, r))
-                            .collect();
-                        let result = pt.anneal_cancellable_observed(
-                            self.options.threads,
-                            &initial,
+                    spent_units =
+                        spent_units.saturating_add((cap as u64).saturating_mul(replicas as u64));
+                    cap
+                })
+                .collect();
+            let (candidate_threads, replica_threads) = if replicas == 1 {
+                (self.options.threads, 1)
+            } else {
+                (1, self.options.threads)
+            };
+            let proto: Option<&Trace> = trace.as_deref();
+            let annealed = parallel::ordered_map_scratch(
+                candidate_threads,
+                &candidates[..k],
+                || None::<Mapping>,
+                |ring, i, cand| {
+                    let initial = ring.get_or_insert_with(|| Mapping::identity(cand.config, *topo));
+                    initial.set_identity(cand.config, *topo);
+                    let mut sa_cfg = self.options.annealer;
+                    sa_cfg.seed = self.options.seed.wrapping_add(i as u64);
+                    sa_cfg.iterations = caps[i];
+                    let pt = ParallelTemperingAnnealer::new(sa_cfg, schedule);
+                    let make_objective = |_replica: usize, init: &Mapping| {
+                        IncrementalObjective::new(
+                            latency.matrix(),
+                            self.gpt,
+                            cand.plan,
+                            &cand.compute,
+                            init,
+                        )
+                    };
+                    let Some(proto) = proto else {
+                        let mut observers = vec![NoOpObserver; replicas];
+                        let result = pt.anneal_observed(
+                            replica_threads,
+                            initial,
                             make_objective,
                             &mut observers,
-                            |rec| telemetry::push_pt_exchange(&mut exchange_child, i, rec),
+                            |_| {},
                             cancel,
                         );
-                        for (observer, rstats) in observers.into_iter().zip(&result.2.replica_stats)
-                        {
-                            observer.finish(rstats);
-                        }
+                        return (result, Vec::new());
+                    };
+                    let mut children: Vec<Trace> = (0..replicas).map(|_| proto.child()).collect();
+                    let mut exchange_child = proto.child();
+                    let exchange_span =
+                        (replicas > 1).then(|| exchange_child.open_span("exchange"));
+                    let mut observers: Vec<SaTraceObserver> = children
+                        .iter_mut()
+                        .enumerate()
+                        .map(|(r, c)| SaTraceObserver::for_replica(c, i, r))
+                        .collect();
+                    let result = pt.anneal_observed(
+                        replica_threads,
+                        initial,
+                        make_objective,
+                        &mut observers,
+                        |rec| telemetry::push_pt_exchange(&mut exchange_child, i, rec),
+                        cancel,
+                    );
+                    for (observer, rstats) in observers.into_iter().zip(&result.2.replica_stats) {
+                        observer.finish(rstats);
+                    }
+                    if let Some(span) = exchange_span {
                         exchange_child.close_span(
-                            exchange_span,
+                            span,
                             CostUnit::Rounds,
                             result.2.exchanges_attempted as u64,
                         );
-                        for child in children {
-                            t.absorb(child);
-                        }
-                        t.absorb(exchange_child);
-                        result
+                        children.push(exchange_child);
                     }
-                    None => pt.anneal_cancellable(
-                        self.options.threads,
-                        &initial,
-                        make_objective,
-                        cancel,
-                    ),
-                };
+                    (result, children)
+                },
+            );
+            let mut exchanges_attempted = 0usize;
+            let mut exchanges_accepted = 0usize;
+            for (i, ((mapping, cost, stats), children)) in annealed.into_iter().enumerate() {
+                if let Some(t) = trace.as_deref_mut() {
+                    for child in children {
+                        t.absorb(child);
+                    }
+                }
                 sa_time += stats.elapsed;
                 exchanges_attempted += stats.exchanges_attempted;
                 exchanges_accepted += stats.exchanges_accepted;
@@ -929,97 +943,13 @@ impl<'a> Pipette<'a> {
                     best_stats = Some(merged);
                 }
             }
-            tempering_summary = Some(TemperingSummary {
-                replicas,
-                exchange_interval: schedule.exchange_interval,
-                exchanges_attempted,
-                exchanges_accepted,
-            });
-        } else if self.options.use_worker_dedication {
-            // Each pass is seeded by its candidate index and evaluated
-            // through the incremental objective (bit-identical to the
-            // closure path, see `mapping::objective`), so the annealed
-            // results are independent of thread count and identical to the
-            // old one-candidate-at-a-time loop. Traced passes record into
-            // child traces that are absorbed below in candidate order —
-            // the merged stream never depends on thread scheduling.
-            let k = self.options.sa_top_k.max(1).min(candidates.len());
-            // Deadline caps, precomputed sequentially in candidate order so
-            // the per-candidate step budget — and thus the annealed result
-            // — never depends on worker scheduling.
-            let caps: Vec<usize> = (0..k)
-                .map(|_| {
-                    let full = self.options.annealer.iterations;
-                    let cap = match budget {
-                        Some(b) => full.min(
-                            usize::try_from(b.saturating_sub(spent_units)).unwrap_or(usize::MAX),
-                        ),
-                        None => full,
-                    };
-                    if cap < full {
-                        truncated = true;
-                    }
-                    spent_units = spent_units.saturating_add(cap as u64);
-                    cap
-                })
-                .collect();
-            let proto: Option<&Trace> = trace.as_deref();
-            let annealed = parallel::ordered_map_scratch(
-                self.options.threads,
-                &candidates[..k],
-                || None::<Mapping>,
-                |ring, i, cand| {
-                    let initial = ring.get_or_insert_with(|| Mapping::identity(cand.config, *topo));
-                    initial.set_identity(cand.config, *topo);
-                    let mut objective = IncrementalObjective::new(
-                        latency.matrix(),
-                        self.gpt,
-                        cand.plan,
-                        &cand.compute,
-                        initial,
-                    );
-                    let mut sa_cfg = self.options.annealer;
-                    sa_cfg.seed = self.options.seed.wrapping_add(i as u64);
-                    sa_cfg.iterations = caps[i];
-                    let annealer = Annealer::new(sa_cfg);
-                    match proto.map(|p| p.child()) {
-                        Some(mut child) => {
-                            let mut observer = SaTraceObserver::new(&mut child, i);
-                            let result = annealer.anneal_cancellable(
-                                initial,
-                                &mut objective,
-                                &mut observer,
-                                cancel,
-                            );
-                            observer.finish(&result.2);
-                            (result, Some(child))
-                        }
-                        None => {
-                            let result = annealer.anneal_cancellable(
-                                initial,
-                                &mut objective,
-                                &mut NoOpObserver,
-                                cancel,
-                            );
-                            (result, None)
-                        }
-                    }
-                },
-            );
-            for (i, ((mapping, cost, stats), child)) in annealed.into_iter().enumerate() {
-                if let (Some(t), Some(child)) = (trace.as_deref_mut(), child) {
-                    t.absorb(child);
-                }
-                sa_time += stats.elapsed;
-                sa_evaluations += stats.evaluations as u64;
-                sa_accepted += stats.accepted as u64;
-                sa_improvements += stats.improvements as u64;
-                if cost < best_t {
-                    best_idx = i;
-                    best_mapping = mapping;
-                    best_t = cost;
-                    best_stats = Some(stats);
-                }
+            if replicas > 1 {
+                tempering_summary = Some(TemperingSummary {
+                    replicas,
+                    exchange_interval: schedule.exchange_interval,
+                    exchanges_attempted,
+                    exchanges_accepted,
+                });
             }
         }
         if let Some(t) = trace.as_deref_mut() {

@@ -6,18 +6,13 @@
 //! analogous to NoC core mapping [17, 18], for which SA is the standard
 //! tool.
 
-use crate::cancel::CancelToken;
 use crate::mapping::moves::{Move, MoveKind};
 use crate::mapping::objective::{FnObjective, Objective};
+use crate::mapping::tempering;
 use pipette_sim::Mapping;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::time::{Duration, Instant};
-
-/// How often (in iterations) the wall-clock budget is consulted. With the
-/// incremental objective an iteration is sub-microsecond, so checking
-/// `Instant::now()` every step would be a measurable fraction of the loop.
-pub(crate) const TIME_CHECK_INTERVAL: usize = 64;
+use std::time::Duration;
 
 /// Annealer parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -162,14 +157,14 @@ pub(crate) fn enabled_moves(config: &AnnealerConfig) -> ([MoveKind; 3], usize) {
     (buf, len)
 }
 
-/// The per-chain state of one annealing trajectory, shared by the
-/// single-chain [`Annealer`] loop and the parallel-tempering layer
-/// (`mapping::tempering`), which runs K of these side by side.
+/// The per-chain state of one annealing trajectory. The ladder loop in
+/// `mapping::tempering` runs one of these per replica; [`Annealer`] is
+/// that loop with a single replica.
 ///
 /// One [`ChainCore::step`] consumes exactly the RNG draws the historical
 /// single-chain loop consumed per iteration, so any segmentation of a
 /// trajectory into steps replays the same moves for the same seed — that
-/// is what makes `replicas = 1` tempering bit-identical to [`Annealer`].
+/// is what keeps the one-replica ladder on the classic SA trajectory.
 pub(crate) struct ChainCore {
     pub(crate) current: Mapping,
     pub(crate) current_cost: f64,
@@ -276,7 +271,7 @@ impl ChainCore {
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct Annealer {
-    config: AnnealerConfig,
+    pub(crate) config: AnnealerConfig,
 }
 
 impl Annealer {
@@ -297,11 +292,6 @@ impl Annealer {
             "at least one move kind must be enabled"
         );
         Self { config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> AnnealerConfig {
-        self.config
     }
 
     /// Minimizes `objective` starting from `initial`, moving blocks of
@@ -326,107 +316,86 @@ impl Annealer {
     /// [`Annealer::anneal`] over any [`Objective`] — pass an
     /// [`crate::mapping::IncrementalObjective`] to pay only for the terms
     /// each move touches instead of a full estimate per iteration.
+    ///
+    /// Runs the one-replica tempering ladder on the calling thread; for
+    /// observers, cancellation or more replicas use
+    /// [`crate::mapping::ParallelTemperingAnnealer::anneal_observed`].
     pub fn anneal_with<O: Objective>(
         &self,
         initial: &Mapping,
         objective: &mut O,
     ) -> (Mapping, f64, AnnealStats) {
-        self.anneal_observed(initial, objective, &mut NoOpObserver)
+        tempering::anneal_single_chain(self.config, initial, objective)
     }
+}
 
-    /// [`Annealer::anneal_with`] with an [`SaObserver`] receiving every
-    /// accept/reject decision. The observer sits outside the RNG stream,
-    /// so the returned mapping, cost, and stats are bit-identical to the
-    /// unobserved run (`observer_does_not_change_the_search` asserts this).
-    pub fn anneal_observed<O: Objective, Obs: SaObserver>(
-        &self,
-        initial: &Mapping,
-        objective: &mut O,
-        observer: &mut Obs,
-    ) -> (Mapping, f64, AnnealStats) {
-        self.anneal_cancellable(initial, objective, observer, None)
+/// The single-chain loop the one-replica ladder replaced, kept as the
+/// reference it must replay draw for draw (iteration budget only).
+#[cfg(test)]
+pub(crate) fn reference_single_chain<O: Objective>(
+    config: &AnnealerConfig,
+    initial: &Mapping,
+    objective: &mut O,
+) -> (Mapping, f64, AnnealStats) {
+    let block = initial.config().tp.max(1);
+    let num_blocks = initial.as_slice().len() / block;
+    let initial_cost = objective.evaluate(initial);
+    let mut stats = AnnealStats {
+        evaluations: 1,
+        accepted: 0,
+        improvements: 0,
+        initial_cost,
+        best_cost: initial_cost,
+        elapsed: Duration::ZERO,
+    };
+    if num_blocks < 2 {
+        return (initial.clone(), initial_cost, stats);
     }
-
-    /// [`Annealer::anneal_observed`] polling a [`CancelToken`] at the
-    /// wall-clock checkpoint cadence ([`TIME_CHECK_INTERVAL`] iterations).
-    /// A cancelled run breaks out of the loop and returns best-so-far —
-    /// the same contract as an expired `time_limit`, never an error. An
-    /// un-cancelled token changes nothing: the trajectory is bit-identical
-    /// to the token-less run.
-    pub fn anneal_cancellable<O: Objective, Obs: SaObserver>(
-        &self,
-        initial: &Mapping,
-        objective: &mut O,
-        observer: &mut Obs,
-        cancel: Option<&CancelToken>,
-    ) -> (Mapping, f64, AnnealStats) {
-        // pipette-lint: allow(D1) -- opt-in wall-clock budget for operators; deterministic runs leave it unset and replay from the seed alone
-        let start = Instant::now();
-        let block = initial.config().tp.max(1);
-        let num_blocks = initial.as_slice().len() / block;
-        let initial_cost = objective.evaluate(initial);
-
-        let mut stats = AnnealStats {
-            evaluations: 1,
-            accepted: 0,
-            improvements: 0,
-            initial_cost,
-            best_cost: initial_cost,
-            elapsed: Duration::ZERO,
-        };
-
-        if num_blocks < 2 {
-            stats.elapsed = start.elapsed();
-            return (initial.clone(), initial_cost, stats);
-        }
-
-        let (enabled_buf, enabled_len) = enabled_moves(&self.config);
-        let enabled = &enabled_buf[..enabled_len];
-        debug_assert!(!enabled.is_empty(), "checked in Annealer::new");
-
-        let mut chain = ChainCore::new(
-            initial,
-            initial_cost,
-            initial_cost * self.config.initial_temp_fraction,
-            self.config.seed,
+    let (enabled_buf, enabled_len) = enabled_moves(config);
+    let mut chain = ChainCore::new(
+        initial,
+        initial_cost,
+        initial_cost * config.initial_temp_fraction,
+        config.seed,
+    );
+    for it in 0..config.iterations {
+        chain.step(
+            it,
+            &enabled_buf[..enabled_len],
+            num_blocks,
+            block,
+            config.alpha,
+            objective,
+            &mut NoOpObserver,
         );
-
-        for it in 0..self.config.iterations {
-            if it % TIME_CHECK_INTERVAL == 0 {
-                if cancel.is_some_and(CancelToken::is_cancelled) {
-                    break;
-                }
-                if let Some(limit) = self.config.time_limit {
-                    if start.elapsed() >= limit {
-                        break;
-                    }
-                }
-            }
-            chain.step(
-                it,
-                enabled,
-                num_blocks,
-                block,
-                self.config.alpha,
-                objective,
-                observer,
-            );
-        }
-
-        stats.evaluations += chain.evaluations;
-        stats.accepted = chain.accepted;
-        stats.improvements = chain.improvements;
-        stats.best_cost = chain.best_cost;
-        stats.elapsed = start.elapsed();
-        (chain.best, chain.best_cost, stats)
     }
+    stats.evaluations += chain.evaluations;
+    stats.accepted = chain.accepted;
+    stats.improvements = chain.improvements;
+    stats.best_cost = chain.best_cost;
+    (chain.best, chain.best_cost, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cancel::CancelToken;
+    use crate::mapping::{ParallelTemperingAnnealer, TemperingSchedule};
     use pipette_cluster::ClusterTopology;
     use pipette_model::ParallelConfig;
+    use std::time::Instant;
+
+    /// The one-replica ladder every observed or cancellable single-chain
+    /// run goes through.
+    fn one_replica(cfg: AnnealerConfig) -> ParallelTemperingAnnealer {
+        ParallelTemperingAnnealer::new(
+            cfg,
+            TemperingSchedule {
+                replicas: 1,
+                ..Default::default()
+            },
+        )
+    }
 
     /// Toy objective: prefer the GPU ids to be in a target permutation by
     /// penalizing displacement.
@@ -624,11 +593,15 @@ mod tests {
         }
 
         let mut rec = Recorder::default();
-        let observed = Annealer::new(cfg).anneal_observed(
+        let (best, cost, stats) = one_replica(cfg).anneal_observed(
+            1,
             &initial,
-            &mut FnObjective::new(displacement_cost(&target)),
-            &mut rec,
+            |_, _| FnObjective::new(displacement_cost(&target)),
+            std::slice::from_mut(&mut rec),
+            |_| {},
+            None,
         );
+        let observed = (best, cost, stats.merged());
         let plain = Annealer::new(cfg).anneal(&initial, displacement_cost(&target));
         assert_eq!(observed.0, plain.0, "observer changed the best mapping");
         assert_eq!(observed.1.to_bits(), plain.1.to_bits());
@@ -652,7 +625,6 @@ mod tests {
 
     #[test]
     fn cancelled_token_returns_best_so_far_quickly() {
-        use crate::cancel::CancelToken;
         let initial = setup(4, 2, 2);
         let target: Vec<usize> = (0..16).rev().collect();
         let cfg = AnnealerConfig {
@@ -664,12 +636,15 @@ mod tests {
         // (iteration 0) having evaluated only the initial mapping.
         let token = CancelToken::new();
         token.cancel();
-        let (best, cost, stats) = Annealer::new(cfg).anneal_cancellable(
+        let (best, cost, stats) = one_replica(cfg).anneal_observed(
+            1,
             &initial,
-            &mut FnObjective::new(displacement_cost(&target)),
-            &mut NoOpObserver,
+            |_, _| FnObjective::new(displacement_cost(&target)),
+            &mut [NoOpObserver],
+            |_| {},
             Some(&token),
         );
+        let stats = stats.merged();
         assert_eq!(best, initial, "no move was ever taken");
         assert_eq!(stats.evaluations, 1);
         assert_eq!(cost.to_bits(), stats.initial_cost.to_bits());
@@ -681,10 +656,12 @@ mod tests {
             seed: 7,
             ..Default::default()
         };
-        let with_token = Annealer::new(cfg).anneal_cancellable(
+        let with_token = one_replica(cfg).anneal_observed(
+            1,
             &initial,
-            &mut FnObjective::new(displacement_cost(&target)),
-            &mut NoOpObserver,
+            |_, _| FnObjective::new(displacement_cost(&target)),
+            &mut [NoOpObserver],
+            |_| {},
             Some(&live),
         );
         let without = Annealer::new(cfg).anneal(&initial, displacement_cost(&target));

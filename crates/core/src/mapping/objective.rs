@@ -52,6 +52,26 @@ pub trait Objective {
     fn rollback(&mut self) {}
 }
 
+/// A borrowed objective is an objective, so a caller can lend its own to
+/// the annealing loop and keep it (and its warmed caches) afterwards.
+impl<O: Objective + ?Sized> Objective for &mut O {
+    fn evaluate(&mut self, mapping: &Mapping) -> f64 {
+        (**self).evaluate(mapping)
+    }
+
+    fn propose(&mut self, mv: Move, candidate: &Mapping) -> f64 {
+        (**self).propose(mv, candidate)
+    }
+
+    fn commit(&mut self) {
+        (**self).commit();
+    }
+
+    fn rollback(&mut self) {
+        (**self).rollback();
+    }
+}
+
 /// Adapter running a plain `Fn(&Mapping) -> f64` closure as an
 /// [`Objective`] — the legacy batch path, kept for ablations, toy
 /// objectives, and as the reference in bit-identity tests.

@@ -165,7 +165,7 @@ mod tests {
         // chain's trajectory until its first accepted exchange, so the
         // ladder's best can only match or beat it there; this seed
         // exercises accepted exchanges (asserted) and still holds.
-        use crate::mapping::{ParallelTemperingAnnealer, TemperingSchedule};
+        use crate::mapping::{FnObjective, ParallelTemperingAnnealer, TemperingSchedule};
         let initial = setup();
         let budget = 2_000;
         let cfg = AnnealerConfig {
@@ -182,7 +182,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let (_, pt_cost, stats) = pt.anneal_closure(1, &initial, reversal_cost);
+        let (_, pt_cost, stats) = pt.anneal(1, &initial, |_, _| FnObjective::new(reversal_cost));
         assert!(stats.exchanges_accepted > 0, "ladder never mixed");
         assert!(
             pt_cost <= sa_cost,

@@ -4,7 +4,7 @@
 //! A single SA chain is inherently sequential; on a many-core box the
 //! configurator's most important phase leaves the machine idle. Parallel
 //! tempering (replica-exchange Monte Carlo) runs `replicas` chains of the
-//! *same* per-iteration loop ([`crate::mapping::Annealer`]'s `ChainCore`)
+//! *same* per-iteration step ([`crate::mapping::Annealer`]'s `ChainCore`)
 //! at staggered temperatures and periodically proposes swapping the
 //! states of adjacent-temperature pairs — hot chains explore, cold chains
 //! refine, and exchange routes promising states down the ladder. Total
@@ -23,18 +23,17 @@
 //!   contract makes the parallel run observationally identical to the
 //!   sequential `threads = 1` execution.
 //!
-//! With `replicas = 1` there are no pairs, the ladder collapses to the
-//! legacy temperature, and replica 0's seed is the base seed — the
-//! trajectory is bit-identical to [`crate::mapping::Annealer`]
-//! (`tests/tempering.rs` asserts this).
+//! This is the crate's only annealing loop. With `replicas = 1` there are
+//! no pairs, replica 0 keeps the base temperature and seed, and the
+//! ladder *is* classic single-chain SA: [`crate::mapping::Annealer`] runs
+//! exactly that, on the calling thread.
 
 use crate::cancel::CancelToken;
 use crate::mapping::annealer::{
     enabled_moves, AnnealStats, Annealer, AnnealerConfig, ChainCore, NoOpObserver, SaObserver,
-    TIME_CHECK_INTERVAL,
 };
 use crate::mapping::arena::splitmix64;
-use crate::mapping::objective::{FnObjective, Objective};
+use crate::mapping::objective::Objective;
 use crate::parallel;
 use pipette_sim::Mapping;
 use std::mem;
@@ -45,6 +44,12 @@ use std::time::{Duration, Instant};
 /// keeps the base seed, so a one-replica ladder replays the single-chain
 /// trajectory exactly.
 const REPLICA_SEED_STRIDE: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// How often (in iterations) a chain polls its cancel token and the
+/// wall-clock budget. With the incremental objective an iteration is
+/// sub-microsecond, so reading `Instant::now()` every step would be a
+/// measurable fraction of the loop.
+const TIME_CHECK_INTERVAL: usize = 64;
 
 /// Salt separating the replica-exchange stream from every other seeded
 /// stream in the repo (ASCII `"pt-xchg!"`).
@@ -74,19 +79,6 @@ impl Default for TemperingSchedule {
 }
 
 impl TemperingSchedule {
-    /// A ladder sized for a thread budget: one replica per worker, capped
-    /// at 8 (rungs beyond that add more random walk than refinement at
-    /// this move set). Note this is an explicit *opt-in* constructor —
-    /// [`crate::configurator::PipetteOptions`] deliberately defaults to
-    /// `replicas = 1` because the recommendation must not depend on the
-    /// machine's core count.
-    pub fn for_threads(threads: usize) -> Self {
-        Self {
-            replicas: threads.clamp(1, 8),
-            ..Self::default()
-        }
-    }
-
     /// The ladder's temperature multiplier for `replica`.
     pub fn temperature_scale(&self, replica: usize) -> f64 {
         self.temp_ratio.powi(replica as i32)
@@ -134,7 +126,7 @@ impl TemperingStats {
     /// The run folded into single-chain-shaped stats: evaluation and
     /// acceptance counts summed across replicas, `best_cost` the ladder's
     /// best, `elapsed` the run's wall clock. For `replicas = 1` the
-    /// counts equal the legacy [`Annealer`]'s exactly.
+    /// counts are the single chain's, exactly what [`Annealer`] reports.
     pub fn merged(&self) -> AnnealStats {
         let mut merged = AnnealStats {
             evaluations: 0,
@@ -272,7 +264,9 @@ fn exchange_pass<O: Objective, Obs: SaObserver>(
 /// K simultaneous annealing chains with deterministic replica exchange.
 ///
 /// ```
-/// use pipette::mapping::{AnnealerConfig, ParallelTemperingAnnealer, TemperingSchedule};
+/// use pipette::mapping::{
+///     AnnealerConfig, FnObjective, ParallelTemperingAnnealer, TemperingSchedule,
+/// };
 /// use pipette_cluster::ClusterTopology;
 /// use pipette_model::ParallelConfig;
 /// use pipette_sim::Mapping;
@@ -284,7 +278,7 @@ fn exchange_pass<O: Objective, Obs: SaObserver>(
 ///     AnnealerConfig { iterations: 2_000, ..Default::default() },
 ///     TemperingSchedule { replicas: 3, exchange_interval: 128, ..Default::default() },
 /// );
-/// let (best, cost, stats) = pt.anneal_closure(1, &identity, objective);
+/// let (best, cost, stats) = pt.anneal(1, &identity, |_, _| FnObjective::new(&objective));
 /// assert!(cost <= stats.merged().initial_cost);
 /// assert!(best.is_permutation());
 /// ```
@@ -321,18 +315,8 @@ impl ParallelTemperingAnnealer {
         }
     }
 
-    /// The annealer configuration in use.
-    pub fn config(&self) -> AnnealerConfig {
-        self.annealer.config()
-    }
-
-    /// The schedule in use.
-    pub fn schedule(&self) -> TemperingSchedule {
-        self.schedule
-    }
-
-    /// [`Self::anneal_observed`] with no observers: the closure builds
-    /// one objective per replica.
+    /// [`Self::anneal_observed`] with no observers and no cancel token:
+    /// the closure builds one objective per replica.
     pub fn anneal<O, MkO>(
         &self,
         threads: usize,
@@ -344,46 +328,14 @@ impl ParallelTemperingAnnealer {
         MkO: FnMut(usize, &Mapping) -> O,
     {
         let mut observers = vec![NoOpObserver; self.schedule.replicas];
-        self.anneal_observed(threads, initial, make_objective, &mut observers, |_| {})
-    }
-
-    /// [`Self::anneal`] polling a [`CancelToken`] at the step loop's
-    /// checkpoint cadence (see [`Self::anneal_cancellable_observed`]).
-    pub fn anneal_cancellable<O, MkO>(
-        &self,
-        threads: usize,
-        initial: &Mapping,
-        make_objective: MkO,
-        cancel: Option<&CancelToken>,
-    ) -> (Mapping, f64, TemperingStats)
-    where
-        O: Objective + Send,
-        MkO: FnMut(usize, &Mapping) -> O,
-    {
-        let mut observers = vec![NoOpObserver; self.schedule.replicas];
-        self.anneal_cancellable_observed(
+        self.anneal_observed(
             threads,
             initial,
             make_objective,
             &mut observers,
             |_| {},
-            cancel,
+            None,
         )
-    }
-
-    /// [`Self::anneal`] over a plain cost closure (each replica wraps a
-    /// shared reference to it in its own [`FnObjective`]) — the
-    /// counterpart of [`Annealer::anneal`] for baseline comparisons.
-    pub fn anneal_closure<F>(
-        &self,
-        threads: usize,
-        initial: &Mapping,
-        objective: F,
-    ) -> (Mapping, f64, TemperingStats)
-    where
-        F: Fn(&Mapping) -> f64 + Sync,
-    {
-        self.anneal(threads, initial, |_, _| FnObjective::new(&objective))
     }
 
     /// Minimizes over `replicas` chains, each with its own objective
@@ -393,8 +345,15 @@ impl ParallelTemperingAnnealer {
     /// thread. Returns the ladder's best mapping, its cost, and
     /// per-replica plus merged statistics.
     ///
+    /// `cancel` is polled inside each chain's step loop (the
+    /// [`TIME_CHECK_INTERVAL`] cadence of the wall-clock budget).
+    /// Cancellation marks every chain done, so the run rendezvous at the
+    /// next exchange interval and returns the ladder's best-so-far —
+    /// never an error, never a block past one exchange interval. An
+    /// un-cancelled token is bit-identical to `None`.
+    ///
     /// The result is bit-identical at any `threads`, and for
-    /// `replicas = 1` bit-identical to [`Annealer::anneal_observed`].
+    /// `replicas = 1` bit-identical to [`Annealer::anneal_with`].
     ///
     /// # Panics
     ///
@@ -403,39 +362,9 @@ impl ParallelTemperingAnnealer {
         &self,
         threads: usize,
         initial: &Mapping,
-        make_objective: MkO,
-        observers: &mut [Obs],
-        on_exchange: impl FnMut(&PtExchangeRecord),
-    ) -> (Mapping, f64, TemperingStats)
-    where
-        O: Objective + Send,
-        MkO: FnMut(usize, &Mapping) -> O,
-        Obs: SaObserver + Send,
-    {
-        self.anneal_cancellable_observed(
-            threads,
-            initial,
-            make_objective,
-            observers,
-            on_exchange,
-            None,
-        )
-    }
-
-    /// [`Self::anneal_observed`] polling a [`CancelToken`] inside each
-    /// chain's step loop (same [`TIME_CHECK_INTERVAL`] cadence as the
-    /// wall-clock budget) and at exchange rounds. Cancellation marks every
-    /// chain done, so the run rendezvous at the next exchange interval and
-    /// returns the ladder's best-so-far — never an error, never a block
-    /// past one exchange interval. An un-cancelled token is bit-identical
-    /// to the token-less run.
-    pub fn anneal_cancellable_observed<O, MkO, Obs>(
-        &self,
-        threads: usize,
-        initial: &Mapping,
         mut make_objective: MkO,
         observers: &mut [Obs],
-        mut on_exchange: impl FnMut(&PtExchangeRecord),
+        on_exchange: impl FnMut(&PtExchangeRecord),
         cancel: Option<&CancelToken>,
     ) -> (Mapping, f64, TemperingStats)
     where
@@ -443,7 +372,36 @@ impl ParallelTemperingAnnealer {
         MkO: FnMut(usize, &Mapping) -> O,
         Obs: SaObserver + Send,
     {
-        let config = self.annealer.config();
+        let objectives = (0..self.schedule.replicas).map(|r| make_objective(r, initial));
+        self.run(
+            Threads(threads),
+            initial,
+            objectives,
+            observers,
+            on_exchange,
+            cancel,
+        )
+    }
+
+    /// The annealing loop every entry point runs: builds the ladder from
+    /// `objectives` (one per observer, in replica order), steps it in
+    /// rounds of `exchange_interval` iterations under `driver`, and
+    /// exchanges between rounds.
+    fn run<'o, O, Obs, R>(
+        &self,
+        driver: R,
+        initial: &Mapping,
+        objectives: impl IntoIterator<Item = O>,
+        observers: &'o mut [Obs],
+        mut on_exchange: impl FnMut(&PtExchangeRecord),
+        cancel: Option<&CancelToken>,
+    ) -> (Mapping, f64, TemperingStats)
+    where
+        O: Objective,
+        Obs: SaObserver,
+        R: Rounds<Chain<'o, O, Obs>>,
+    {
+        let config = self.annealer.config;
         let replicas = self.schedule.replicas;
         // pipette-lint: allow(D2) -- documented `# Panics` contract: one observer per replica is the API shape
         assert_eq!(
@@ -458,12 +416,11 @@ impl ParallelTemperingAnnealer {
 
         // Build the ladder on the calling thread, in replica order. Each
         // chain evaluates the initial mapping through its *own* objective
-        // (deterministically equal across replicas), mirroring the
-        // single-chain loop's opening evaluation.
-        let mut chains: Vec<Chain<'_, O, Obs>> = Vec::with_capacity(replicas);
+        // (deterministically equal across replicas).
+        let mut chains: Vec<Chain<'o, O, Obs>> = Vec::with_capacity(replicas);
         let mut initial_cost = 0.0f64;
-        for (replica, observer) in observers.iter_mut().enumerate() {
-            let mut objective = make_objective(replica, initial);
+        for ((replica, observer), mut objective) in observers.iter_mut().enumerate().zip(objectives)
+        {
             initial_cost = objective.evaluate(initial);
             let temp = initial_cost
                 * config.initial_temp_fraction
@@ -496,8 +453,7 @@ impl ParallelTemperingAnnealer {
         let mut exchanges_attempted = 0usize;
         let mut exchanges_accepted = 0usize;
 
-        parallel::barrier_rounds(
-            threads,
+        driver.run(
             &mut chains,
             rounds,
             |_, round, chain| {
@@ -573,6 +529,67 @@ impl ParallelTemperingAnnealer {
     }
 }
 
+/// The one-replica ladder on the calling thread: [`Annealer`]'s
+/// single-chain search. Replica 0 keeps the base seed and the base
+/// temperature and there are no pairs to exchange, so this is the
+/// classic SA trajectory; running on the caller is what spares
+/// `objective` the `Send` bound the threaded driver needs.
+pub(crate) fn anneal_single_chain<O: Objective>(
+    config: AnnealerConfig,
+    initial: &Mapping,
+    objective: &mut O,
+) -> (Mapping, f64, AnnealStats) {
+    let schedule = TemperingSchedule {
+        replicas: 1,
+        ..TemperingSchedule::default()
+    };
+    let (best, cost, stats) = ParallelTemperingAnnealer::new(config, schedule).run(
+        OnCaller,
+        initial,
+        [objective],
+        &mut [NoOpObserver],
+        |_| {},
+        None,
+    );
+    (best, cost, stats.merged())
+}
+
+/// How a ladder's rounds are scheduled over its chains. Only the
+/// threaded driver needs `Send` chains, so the bound lives on its impl
+/// rather than on the loop.
+trait Rounds<S> {
+    fn run<F, X>(self, states: &mut [S], rounds: usize, step: F, exchange: X)
+    where
+        F: Fn(usize, usize, &mut S) + Sync,
+        X: FnMut(usize, &mut [&mut S]) -> bool;
+}
+
+/// Every round on the calling thread ([`parallel::sequential_rounds`]).
+struct OnCaller;
+
+impl<S> Rounds<S> for OnCaller {
+    fn run<F, X>(self, states: &mut [S], rounds: usize, step: F, exchange: X)
+    where
+        F: Fn(usize, usize, &mut S) + Sync,
+        X: FnMut(usize, &mut [&mut S]) -> bool,
+    {
+        parallel::sequential_rounds(states, rounds, step, exchange);
+    }
+}
+
+/// Chains spread over a thread budget ([`parallel::barrier_rounds`]).
+struct Threads(usize);
+
+impl<S: Send> Rounds<S> for Threads {
+    fn run<F, X>(self, states: &mut [S], rounds: usize, step: F, exchange: X)
+    where
+        F: Fn(usize, usize, &mut S) + Sync,
+        X: FnMut(usize, &mut [&mut S]) -> bool,
+    {
+        parallel::barrier_rounds(self.0, states, rounds, step, exchange);
+    }
+}
+
 /// Folds the ladder into [`TemperingStats`]. Each replica counts its
 /// opening evaluation of the initial mapping (matching the single-chain
 /// stats contract), and its `elapsed` is busy time, not wall clock.
@@ -605,6 +622,8 @@ fn collect_stats<O, Obs>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapping::annealer::reference_single_chain;
+    use crate::mapping::FnObjective;
     use pipette_cluster::ClusterTopology;
     use pipette_model::ParallelConfig;
 
@@ -637,14 +656,6 @@ mod tests {
             assert!((ratio - 1.7).abs() < 1e-12);
             assert!(sched.temperature_scale(r) > sched.temperature_scale(r - 1));
         }
-    }
-
-    #[test]
-    fn for_threads_clamps_to_ladder_bounds() {
-        assert_eq!(TemperingSchedule::for_threads(0).replicas, 1);
-        assert_eq!(TemperingSchedule::for_threads(1).replicas, 1);
-        assert_eq!(TemperingSchedule::for_threads(6).replicas, 6);
-        assert_eq!(TemperingSchedule::for_threads(64).replicas, 8);
     }
 
     #[test]
@@ -754,7 +765,11 @@ mod tests {
             seed: 11,
             ..Default::default()
         };
-        let single = Annealer::new(cfg).anneal(&initial, displacement_cost(&target));
+        let single = reference_single_chain(
+            &cfg,
+            &initial,
+            &mut FnObjective::new(displacement_cost(&target)),
+        );
         let pt = ParallelTemperingAnnealer::new(
             cfg,
             TemperingSchedule {
@@ -763,7 +778,9 @@ mod tests {
                 ..Default::default()
             },
         );
-        let tempered = pt.anneal_closure(1, &initial, displacement_cost(&target));
+        let tempered = pt.anneal(1, &initial, |_, _| {
+            FnObjective::new(displacement_cost(&target))
+        });
         assert_eq!(single.0, tempered.0, "mapping diverged");
         assert_eq!(single.1.to_bits(), tempered.1.to_bits());
         let merged = tempered.2.merged();
@@ -790,9 +807,13 @@ mod tests {
                 ..Default::default()
             },
         );
-        let reference = pt.anneal_closure(1, &initial, displacement_cost(&target));
+        let reference = pt.anneal(1, &initial, |_, _| {
+            FnObjective::new(displacement_cost(&target))
+        });
         for threads in [2usize, 3, 8] {
-            let run = pt.anneal_closure(threads, &initial, displacement_cost(&target));
+            let run = pt.anneal(threads, &initial, |_, _| {
+                FnObjective::new(displacement_cost(&target))
+            });
             assert_eq!(reference.0, run.0, "mapping diverged at threads={threads}");
             assert_eq!(reference.1.to_bits(), run.1.to_bits());
             assert_eq!(reference.2.exchanges_attempted, run.2.exchanges_attempted);
@@ -830,6 +851,7 @@ mod tests {
             |_, _| FnObjective::new(displacement_cost(&target)),
             &mut observers,
             |rec| records.push(*rec),
+            None,
         );
         assert!(best.is_permutation());
         assert!(cost <= stats.merged().initial_cost);
@@ -870,7 +892,7 @@ mod tests {
             },
             TemperingSchedule::default(),
         );
-        let (_, cost, stats) = pt.anneal_closure(2, &initial, identity_cost);
+        let (_, cost, stats) = pt.anneal(2, &initial, |_, _| FnObjective::new(&identity_cost));
         assert_eq!(cost, 0.0);
         assert_eq!(stats.merged().initial_cost, 0.0);
     }
@@ -882,7 +904,7 @@ mod tests {
         let m = Mapping::identity(cfg, topo);
         let pt =
             ParallelTemperingAnnealer::new(AnnealerConfig::default(), TemperingSchedule::default());
-        let (best, cost, stats) = pt.anneal_closure(4, &m, |_| 42.0);
+        let (best, cost, stats) = pt.anneal(4, &m, |_, _| FnObjective::new(|_| 42.0));
         assert_eq!(best, m);
         assert_eq!(cost, 42.0);
         assert_eq!(stats.merged().evaluations, 4); // one opening eval per replica
@@ -907,10 +929,12 @@ mod tests {
         );
         let token = CancelToken::new();
         token.cancel();
-        let (best, cost, stats) = pt.anneal_cancellable(
+        let (best, cost, stats) = pt.anneal_observed(
             2,
             &initial,
             |_, _| FnObjective::new(displacement_cost(&target)),
+            &mut [NoOpObserver; 3],
+            |_| {},
             Some(&token),
         );
         // Pre-cancelled: every chain stops at its first checkpoint, so
@@ -933,13 +957,17 @@ mod tests {
                 ..Default::default()
             },
         );
-        let with_token = pt.anneal_cancellable(
+        let with_token = pt.anneal_observed(
             1,
             &initial,
             |_, _| FnObjective::new(displacement_cost(&target)),
+            &mut [NoOpObserver; 3],
+            |_| {},
             Some(&live),
         );
-        let without = pt.anneal_closure(1, &initial, displacement_cost(&target));
+        let without = pt.anneal(1, &initial, |_, _| {
+            FnObjective::new(displacement_cost(&target))
+        });
         assert_eq!(with_token.0, without.0);
         assert_eq!(with_token.1.to_bits(), without.1.to_bits());
     }
@@ -960,7 +988,9 @@ mod tests {
                 ..Default::default()
             },
         );
-        let (_, cost, stats) = pt.anneal_closure(1, &initial, displacement_cost(&target));
+        let (_, cost, stats) = pt.anneal(1, &initial, |_, _| {
+            FnObjective::new(displacement_cost(&target))
+        });
         let merged = stats.merged();
         assert_eq!(merged.evaluations, 3 * 1_001);
         assert_eq!(

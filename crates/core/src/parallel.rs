@@ -183,15 +183,7 @@ pub fn barrier_rounds<S, F, X>(
         return;
     }
     if threads <= 1 || states.len() < 2 {
-        let mut refs: Vec<&mut S> = states.iter_mut().collect();
-        for round in 0..rounds {
-            for (i, s) in refs.iter_mut().enumerate() {
-                step(i, round, s);
-            }
-            if !exchange(round, &mut refs) {
-                return;
-            }
-        }
+        sequential_rounds(states, rounds, step, exchange);
         return;
     }
 
@@ -289,6 +281,27 @@ pub fn barrier_rounds<S, F, X>(
 
     if let Some(payload) = failure.into_inner().unwrap_or_else(PoisonError::into_inner) {
         panic::resume_unwind(payload);
+    }
+}
+
+/// [`barrier_rounds`] on the calling thread: every round steps the states
+/// in index order, then runs `exchange`. This is the schedule every
+/// threaded run is observationally identical to, and it asks nothing of
+/// `S` or `step` beyond being callable, so single-threaded callers need
+/// no `Send`/`Sync` bounds.
+pub(crate) fn sequential_rounds<S, F, X>(states: &mut [S], rounds: usize, step: F, mut exchange: X)
+where
+    F: Fn(usize, usize, &mut S),
+    X: FnMut(usize, &mut [&mut S]) -> bool,
+{
+    let mut refs: Vec<&mut S> = states.iter_mut().collect();
+    for round in 0..rounds {
+        for (i, s) in refs.iter_mut().enumerate() {
+            step(i, round, s);
+        }
+        if !exchange(round, &mut refs) {
+            return;
+        }
     }
 }
 

@@ -191,10 +191,22 @@ pub fn push_recommendation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::{Annealer, AnnealerConfig};
+    use crate::mapping::{
+        AnnealerConfig, FnObjective, ParallelTemperingAnnealer, TemperingSchedule,
+    };
     use pipette_cluster::ClusterTopology;
     use pipette_obs::TraceConfig;
     use pipette_sim::Mapping;
+
+    fn one_replica(cfg: AnnealerConfig) -> ParallelTemperingAnnealer {
+        ParallelTemperingAnnealer::new(
+            cfg,
+            TemperingSchedule {
+                replicas: 1,
+                ..Default::default()
+            },
+        )
+    }
 
     fn toy_anneal(trace: &mut Trace) -> AnnealStats {
         let cfg = ParallelConfig::new(4, 2, 2);
@@ -207,17 +219,22 @@ mod tests {
                 .map(|(i, g)| (g.0 as f64 - target[i] as f64).abs())
                 .sum()
         };
-        let annealer = Annealer::new(AnnealerConfig {
+        let annealer = one_replica(AnnealerConfig {
             iterations: 2_048,
             seed: 5,
             ..Default::default()
         });
-        let mut observer = SaTraceObserver::new(trace, 0);
+        let mut observers = [SaTraceObserver::new(trace, 0)];
         let (_, _, stats) = annealer.anneal_observed(
+            1,
             &initial,
-            &mut crate::mapping::FnObjective::new(objective),
-            &mut observer,
+            |_, _| FnObjective::new(&objective),
+            &mut observers,
+            |_| {},
+            None,
         );
+        let [observer] = observers;
+        let stats = stats.merged();
         observer.finish(&stats);
         stats
     }
@@ -265,18 +282,22 @@ mod tests {
         });
         let cfg = ParallelConfig::new(4, 2, 2);
         let initial = Mapping::identity(cfg, ClusterTopology::new(4, 4));
-        let annealer = Annealer::new(AnnealerConfig {
+        let annealer = one_replica(AnnealerConfig {
             iterations: 1_024,
             seed: 7,
             ..Default::default()
         });
-        let mut observer = SaTraceObserver::for_replica(&mut trace, 2, 3);
+        let mut observers = [SaTraceObserver::for_replica(&mut trace, 2, 3)];
         let (_, _, stats) = annealer.anneal_observed(
+            1,
             &initial,
-            &mut crate::mapping::FnObjective::new(|m: &Mapping| m.as_slice()[0].0 as f64),
-            &mut observer,
+            |_, _| FnObjective::new(|m: &Mapping| m.as_slice()[0].0 as f64),
+            &mut observers,
+            |_| {},
+            None,
         );
-        observer.finish(&stats);
+        let [observer] = observers;
+        observer.finish(&stats.merged());
         push_pt_exchange(
             &mut trace,
             2,

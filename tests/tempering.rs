@@ -5,9 +5,10 @@
 
 use pipette::configurator::{Pipette, PipetteOptions};
 use pipette::mapping::{
-    exchange_accepts, Annealer, AnnealerConfig, ParallelTemperingAnnealer, TemperingSchedule,
+    exchange_accepts, Annealer, AnnealerConfig, FnObjective, ParallelTemperingAnnealer,
+    TemperingSchedule,
 };
-use pipette_cluster::{presets, ClusterTopology};
+use pipette_cluster::{presets, ClusterTopology, GpuId};
 use pipette_model::{GptConfig, ParallelConfig};
 use pipette_obs::analysis::first_divergence;
 use pipette_obs::{EventTag, SpanTree, Trace, TraceConfig};
@@ -106,8 +107,9 @@ fn tempered_trace_records_replicas_and_exchanges() {
 
 #[test]
 fn replicas_one_is_bit_identical_to_the_legacy_single_chain() {
-    // Through the full configurator: a replicas=1 "tempering" run and the
-    // stock single-chain run must be indistinguishable, trace included.
+    // Through the full configurator: the exchange interval only segments
+    // a one-replica ladder, so the stock single-chain run and one with a
+    // different interval must be indistinguishable, trace included.
     let cluster = presets::mid_range(2).build(5);
     let gpt = small_gpt();
     let mut legacy_options = PipetteOptions::fast_test();
@@ -156,8 +158,20 @@ fn replicas_one_annealer_matches_legacy_annealer_directly() {
         seed: 17,
         ..Default::default()
     };
-    let (legacy_map, legacy_cost, legacy_stats) =
-        Annealer::new(sa_cfg).anneal(&initial, &objective);
+    // What the standalone single-chain loop returned on this input before
+    // `Annealer` became the one-replica ladder: the recorded reference
+    // both surviving paths must keep replaying.
+    let legacy_map = Mapping::from_assignment(
+        cfg,
+        [14, 15, 12, 13, 10, 11, 8, 9, 6, 7, 4, 5, 2, 3, 0, 1]
+            .into_iter()
+            .map(GpuId)
+            .collect(),
+    );
+    let legacy_cost = f64::from_bits(0x4030_0000_0000_0000); // 16.0
+    let (legacy_evaluations, legacy_accepted, legacy_improvements) = (5_001, 267, 13);
+
+    let (sa_map, sa_cost, sa_stats) = Annealer::new(sa_cfg).anneal(&initial, &objective);
     let pt = ParallelTemperingAnnealer::new(
         sa_cfg,
         TemperingSchedule {
@@ -166,14 +180,16 @@ fn replicas_one_annealer_matches_legacy_annealer_directly() {
             ..Default::default()
         },
     );
-    let (pt_map, pt_cost, pt_stats) = pt.anneal_closure(8, &initial, &objective);
-    assert_eq!(legacy_map, pt_map);
-    assert_eq!(legacy_cost.to_bits(), pt_cost.to_bits());
+    let (pt_map, pt_cost, pt_stats) = pt.anneal(8, &initial, |_, _| FnObjective::new(&objective));
     let merged = pt_stats.merged();
-    assert_eq!(legacy_stats.evaluations, merged.evaluations);
-    assert_eq!(legacy_stats.accepted, merged.accepted);
-    assert_eq!(legacy_stats.improvements, merged.improvements);
-    assert_eq!(legacy_stats.best_cost.to_bits(), merged.best_cost.to_bits());
+    for (map, cost, stats) in [(sa_map, sa_cost, sa_stats), (pt_map, pt_cost, merged)] {
+        assert_eq!(legacy_map, map);
+        assert_eq!(legacy_cost.to_bits(), cost.to_bits());
+        assert_eq!(legacy_evaluations, stats.evaluations);
+        assert_eq!(legacy_accepted, stats.accepted);
+        assert_eq!(legacy_improvements, stats.improvements);
+        assert_eq!(legacy_cost.to_bits(), stats.best_cost.to_bits());
+    }
 }
 
 /// Property: the exchange verdict is a deterministic function of
