@@ -447,11 +447,7 @@ impl<'a> Pipette<'a> {
         let start = Instant::now();
         let (spec, truth) = self.profiling_spec();
         let samples = collect_samples_parallel(&spec, &truth, self.options.threads);
-        let estimator = MemoryEstimator::train_with_threads(
-            &samples,
-            &self.options.memory,
-            self.options.threads,
-        );
+        let estimator = MemoryEstimator::train(&samples, &self.options.memory);
         (estimator, start.elapsed(), samples)
     }
 
@@ -588,11 +584,7 @@ impl<'a> Pipette<'a> {
                             self.cancel.as_ref(),
                         )
                         .map(|samples| {
-                            let e = MemoryEstimator::train_with_threads(
-                                &samples,
-                                &self.options.memory,
-                                self.options.threads,
-                            );
+                            let e = MemoryEstimator::train(&samples, &self.options.memory);
                             (e, start.elapsed(), false)
                         })
                     }

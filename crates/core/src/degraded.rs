@@ -201,7 +201,7 @@ pub fn run_under_faults(
         .map(|(_, s)| *s)
         .collect();
     let (survivor_pipette, used_analytic_fallback) =
-        match MemoryEstimator::train_checked(&kept, &options.memory, options.threads) {
+        match MemoryEstimator::train_checked(&kept, &options.memory) {
             Ok(estimator) => (survivor_pipette.with_memory_estimator(estimator), false),
             Err(degeneracy) => {
                 if let Some(t) = trace.as_deref_mut() {

@@ -334,9 +334,9 @@ impl TrainedEstimatorCache {
 
     /// Returns the cached estimator for these training inputs, or collects
     /// samples and trains one (recording it in memory and, if configured,
-    /// on disk). `threads` drives both the profiling sweep and the MLP
-    /// training; results are bit-identical at any thread count, so cached
-    /// and fresh estimators are interchangeable.
+    /// on disk). `threads` drives the profiling sweep; the MLP fit runs
+    /// on the calling thread. Results are bit-identical at any thread
+    /// count, so cached and fresh estimators are interchangeable.
     pub fn get_or_train(
         &self,
         spec: &SampleSpec,
@@ -357,7 +357,7 @@ impl TrainedEstimatorCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let samples = collect_samples_parallel(spec, truth, threads);
-        let estimator = MemoryEstimator::train_with_threads(&samples, config, threads);
+        let estimator = MemoryEstimator::train(&samples, config);
         self.store_to_disk(fp, &estimator);
         self.lock_entries().insert(fp, estimator.clone());
         estimator

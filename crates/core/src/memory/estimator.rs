@@ -193,27 +193,13 @@ pub(crate) fn analytic_prior(features: &[f64; 10], seq_len: usize, vocab: usize)
 }
 
 impl MemoryEstimator {
-    /// Trains the estimator on profiled samples.
+    /// Trains the estimator on profiled samples. The MLP fit runs on the
+    /// calling thread.
     ///
     /// # Panics
     ///
     /// Panics if `samples` is empty.
     pub fn train(samples: &[MemorySample], config: &MemoryEstimatorConfig) -> Self {
-        Self::train_with_threads(samples, config, 1)
-    }
-
-    /// [`Self::train`] with the MLP's forward matmuls split over up to
-    /// `threads` row blocks. Bit-identical at any thread count (rows are
-    /// independent; see `pipette_mlp::Mlp::fit_with_threads`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples` is empty.
-    pub fn train_with_threads(
-        samples: &[MemorySample],
-        config: &MemoryEstimatorConfig,
-        threads: usize,
-    ) -> Self {
         debug_assert!(!samples.is_empty(), "need at least one training sample");
         let seq_len = samples[0].seq_len;
         let vocab = samples[0].vocab;
@@ -250,7 +236,7 @@ impl MemoryEstimator {
         widths.extend(std::iter::repeat_n(config.hidden, config.depth));
         widths.push(1);
         let mut mlp = Mlp::new(&widths, config.seed);
-        let report = mlp.fit_with_threads(&x, &y, &config.train, threads);
+        let report = mlp.fit(&x, &y, &config.train);
 
         Self {
             mlp,
@@ -270,12 +256,28 @@ impl MemoryEstimator {
         }
     }
 
-    /// Fallible variant of [`Self::train_with_threads`] for corpora that
+    /// [`Self::train`] under a thread budget. The fit runs on the calling
+    /// thread whatever `threads` is: its matmuls are too small for a
+    /// spawn per call to pay off (DESIGN.md §7c), so the result and the
+    /// work are those of [`Self::train`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` is empty.
+    pub fn train_with_threads(
+        samples: &[MemorySample],
+        config: &MemoryEstimatorConfig,
+        _threads: usize,
+    ) -> Self {
+        Self::train(samples, config)
+    }
+
+    /// Fallible variant of [`Self::train`] for corpora that
     /// may have degenerated under cluster faults: checks the sample count
     /// and target variance *before* spending the training iterations.
     ///
     /// On a healthy corpus the returned estimator is bit-identical to
-    /// [`Self::train_with_threads`].
+    /// [`Self::train`].
     ///
     /// # Errors
     ///
@@ -289,7 +291,6 @@ impl MemoryEstimator {
     pub fn train_checked(
         samples: &[MemorySample],
         config: &MemoryEstimatorConfig,
-        threads: usize,
     ) -> Result<Self, EstimatorDegeneracy> {
         const MIN_SAMPLES: usize = 8;
         if samples.len() < MIN_SAMPLES {
@@ -315,7 +316,7 @@ impl MemoryEstimator {
         if !(y_std.is_finite() && y_std >= 1e-12) {
             return Err(EstimatorDegeneracy::CollapsedTargets { y_std });
         }
-        Ok(Self::train_with_threads(samples, config, threads))
+        Ok(Self::train(samples, config))
     }
 
     /// Telemetry of the training run that produced this estimator (also
@@ -571,7 +572,7 @@ mod tests {
     #[test]
     fn train_checked_matches_plain_training_on_healthy_corpus() {
         let samples = corpus();
-        let checked = MemoryEstimator::train_checked(&samples, &quick_config(), 1)
+        let checked = MemoryEstimator::train_checked(&samples, &quick_config())
             .expect("healthy corpus trains");
         let plain = MemoryEstimator::train(&samples, &quick_config());
         assert_eq!(checked, plain);
@@ -583,13 +584,13 @@ mod tests {
         // Too few samples: a corpus decimated by failed profiling jobs.
         let few = &samples[..3];
         assert!(matches!(
-            MemoryEstimator::train_checked(few, &quick_config(), 1),
+            MemoryEstimator::train_checked(few, &quick_config()),
             Err(EstimatorDegeneracy::TooFewSamples { got: 3, need: 8 })
         ));
         // Collapsed targets: every sample reports the same residual.
         let collapsed: Vec<MemorySample> = (0..12).map(|_| samples[0]).collect();
         assert!(matches!(
-            MemoryEstimator::train_checked(&collapsed, &quick_config(), 1),
+            MemoryEstimator::train_checked(&collapsed, &quick_config()),
             Err(EstimatorDegeneracy::CollapsedTargets { .. })
         ));
         // The errors render a reason.

@@ -317,6 +317,9 @@ fn decode_payload(payload: &[u8]) -> Option<MemoryEstimator> {
             1 => true,
             _ => return None,
         };
+        if rows == 0 || cols == 0 {
+            return None;
+        }
         let n = rows.checked_mul(cols)?;
         let weights = c.f64s(n)?;
         let bias = c.f64s(cols)?;
@@ -326,7 +329,13 @@ fn decode_payload(payload: &[u8]) -> Option<MemoryEstimator> {
             relu,
         ));
     }
-    if !c.finished() {
+    // The network's shape contracts hold in release builds too: a stack
+    // that does not map the ten memory features through chained widths
+    // to one output is a defective entry, not a panic at the first
+    // prediction.
+    let chained = layers.windows(2).all(|w| w[0].out_dim() == w[1].in_dim());
+    let ends = (layers[0].in_dim(), layers[layers.len() - 1].out_dim());
+    if !c.finished() || !chained || num_features != 10 || ends != (10, 1) {
         return None;
     }
     Some(MemoryEstimator::from_index_parts(
@@ -558,6 +567,39 @@ mod tests {
             "length check must catch"
         );
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// With release-mode shape checks in `pipette-mlp`, a payload whose
+    /// network cannot take the ten memory features to one output must be
+    /// rejected at decode time, not panic at the first prediction.
+    #[test]
+    fn shape_broken_networks_are_rejected() {
+        let estimator = tiny_estimator();
+        let summary = estimator.train_summary().clone();
+        let dense = |i, o| Dense::from_parts(Matrix::zeros(i, o), vec![0.0; o], true);
+        let decode_net = |layers: Vec<Dense>, features: usize| {
+            let net = MemoryEstimator::from_index_parts(
+                Mlp::from_layers(layers),
+                StandardScaler::from_parts(vec![0.0; features], vec![1.0; features]),
+                (0.0, 1.0, 0.08),
+                (2048, 51200),
+                summary.clone(),
+            );
+            decode_payload(&encode_payload(&net))
+        };
+        assert!(decode_net(vec![dense(10, 4), dense(4, 1)], 10).is_some());
+        assert!(decode_net(vec![dense(10, 4), dense(5, 1)], 10).is_none());
+        assert!(decode_net(vec![dense(3, 4), dense(4, 1)], 3).is_none());
+        assert!(decode_net(vec![dense(10, 4), dense(4, 2)], 10).is_none());
+
+        // A zero-sized layer cannot be built, so patch the first layer's
+        // row count (the word after the header fields, the loss curve,
+        // the scaler and the layer count) to zero.
+        let mut payload = encode_payload(&estimator);
+        let at = 8 * (10 + summary.loss_curve.len() + 1 + 2 * 10 + 1);
+        assert_eq!(payload[at..at + 8], 10u64.to_le_bytes());
+        payload[at..at + 8].copy_from_slice(&0u64.to_le_bytes());
+        assert!(decode_payload(&payload).is_none());
     }
 
     #[test]

@@ -57,10 +57,12 @@ fn every_waiver_carries_a_justification() {
 }
 
 /// The waiver burn-down dropped the count from 45 to 33; folding
-/// the CLI's JSON scanner into `pipette-obs` removed one more. This is
-/// a ratchet: new waivers need either a removed one elsewhere or a
-/// deliberate bump here, reviewed like any other budget change.
-const WAIVER_CEILING: usize = 32;
+/// the CLI's JSON scanner into `pipette-obs` removed one more, and
+/// routing `pipette-mlp`'s documented panics through one contract site
+/// two more. This is a ratchet: new waivers need either a removed one
+/// elsewhere or a deliberate bump here, reviewed like any other budget
+/// change.
+const WAIVER_CEILING: usize = 30;
 
 #[test]
 fn waiver_count_never_regresses_past_the_ceiling() {

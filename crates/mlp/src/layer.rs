@@ -1,6 +1,7 @@
 //! Dense (fully connected) layer with optional ReLU activation.
 
 use crate::matrix::Matrix;
+use crate::require;
 use rand::Rng;
 
 /// A dense layer `Y = X·W + b`, optionally followed by ReLU.
@@ -40,9 +41,9 @@ impl Dense {
     ///
     /// Panics if either dimension is zero.
     pub fn new<R: Rng + ?Sized>(in_dim: usize, out_dim: usize, relu: bool, rng: &mut R) -> Self {
-        debug_assert!(
+        require(
             in_dim > 0 && out_dim > 0,
-            "layer dimensions must be positive"
+            "layer dimensions must be positive",
         );
         let scale = (2.0 / in_dim as f64).sqrt();
         let data = (0..in_dim * out_dim)
@@ -60,8 +61,12 @@ impl Dense {
     /// Reassembles a layer from its persisted parts (weights, bias,
     /// activation flag) with cold forward/backward caches — the
     /// deserialization path of binary estimator snapshots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bias.len() != weights.cols()`.
     pub fn from_parts(weights: Matrix, bias: Vec<f64>, relu: bool) -> Self {
-        debug_assert_eq!(weights.cols(), bias.len(), "bias length mismatch");
+        require(weights.cols() == bias.len(), "bias length mismatch");
         Self {
             weights,
             bias,
@@ -120,16 +125,10 @@ impl Dense {
     ///
     /// Panics if called before [`Self::forward`].
     pub fn backward(&mut self, d_out: &Matrix) -> (Matrix, DenseGrads) {
-        let x = self
-            .cache_input
-            .take()
-            // pipette-lint: allow(D2) -- documented `# Panics` protocol: backward consumes the cache forward just stored
-            .expect("backward called before forward");
-        let pre = self
-            .cache_pre_activation
-            .take()
-            // pipette-lint: allow(D2) -- forward stores both caches together; reaching here means the first take succeeded
-            .expect("missing pre-activation cache");
+        let (Some(x), Some(pre)) = (self.cache_input.take(), self.cache_pre_activation.take())
+        else {
+            crate::violated("backward called before forward");
+        };
         let d_pre = if self.relu {
             d_out.zip(&pre, |g, p| if p > 0.0 { g } else { 0.0 })
         } else {

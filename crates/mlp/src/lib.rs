@@ -22,7 +22,7 @@
 //! assert!((pred.get(0, 0) - 9.0).abs() < 0.5);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod layer;
@@ -38,3 +38,23 @@ pub use net::Mlp;
 pub use optim::Adam;
 pub use scaler::StandardScaler;
 pub use train::{TrainConfig, TrainReport};
+
+/// Panics with `contract` unless `ok`: the shape contracts the public
+/// entry points document under `# Panics`. Checked in release builds
+/// too, because a mismatched shape would otherwise return a wrong result
+/// instead of failing; every check is O(1) per call.
+#[track_caller]
+#[inline]
+fn require(ok: bool, contract: &str) {
+    if !ok {
+        violated(contract);
+    }
+}
+
+/// The one panic site of the crate's documented `# Panics` contracts.
+#[cold]
+#[track_caller]
+fn violated(contract: &str) -> ! {
+    // pipette-lint: allow(D2) -- every documented `# Panics` contract of Matrix, Dense, Mlp, Adam and StandardScaler ends here
+    panic!("{contract}");
+}

@@ -1,38 +1,56 @@
 //! Minimal dense row-major matrix used by the MLP.
 //!
-//! Two matmul kernels live here. [`Matrix::matmul_naive`] is the
-//! reference triple loop the crate started with; [`Matrix::matmul`] (and
-//! the `*_into` / fused / transposed variants) is a register-tiled
-//! rewrite of the same arithmetic: for every output element the products
-//! are accumulated over `k` in ascending order, skipping `a == 0.0` terms
-//! exactly like the reference, so the results are **bit-identical** — the
-//! tiling only changes which intermediate lives in a register instead of
-//! memory, never the sequence of floating-point operations that produces
-//! an element. `matmul_parallel` splits output rows across threads; rows
-//! are independent, so any thread count returns the same bits
-//! (property-tested in `tests/kernels.rs`).
+//! Every product runs through one register-tiled loop body
+//! (`mm_row_into`) that computes one output row of `A · B` or, reading
+//! a column of `A` with stride, of `Aᵀ · B`. For every output element the
+//! products are accumulated over `k` in ascending order, each product
+//! rounded before it is added, skipping `a == 0.0` terms exactly like the
+//! naive triple loop — so every kernel is **bit-identical** to that loop,
+//! subnormals and infinities included (property-tested against the
+//! oracle in `tests/kernels.rs`); a NaN lands in the same elements, though
+//! Rust leaves its payload bits unspecified. Tiling only changes which
+//! intermediate lives in a register, never the sequence of floating-point
+//! operations that produces an element.
+//!
+//! The body is compiled twice: for the baseline target and inside a
+//! `#[target_feature(enable = "avx2")]` wrapper around a whole matrix
+//! call. `dispatch` picks the AVX2 build when the CPU reports it, so
+//! each vector operation covers 4 doubles instead of SSE2's 2. FMA is
+//! never enabled: a fused multiply-add rounds once where the loop rounds
+//! twice, and would change the bits. `matmul_parallel` splits output rows
+//! across threads; rows are independent, so any thread count returns the
+//! same bits.
 
+use crate::require;
 use std::fmt;
 
-/// Width of the register tile the blocked kernels accumulate into. 32
-/// doubles (4 cache lines) keeps the accumulator in vector registers on
-/// anything from SSE2 to AVX-512 while still amortizing the loop
-/// bookkeeping over long rows.
-const TILE: usize = 32;
+/// Width of the register tile the kernels accumulate into. 48 doubles
+/// are twelve of AVX2's sixteen vector registers, and the default
+/// estimator's 96-wide layers split into two full tiles. Measured against
+/// 16, 32 and 64 in DESIGN.md §7c: at 32 the compiler turns the inlined
+/// fixed-width tile into scalar code.
+const TILE: usize = 48;
 
-/// One output row of `A · B`: `out_row = Σ_k a_row[k] · B[k][·]`, with an
-/// optional fused bias added after the whole sum (matching
-/// `matmul` + `add_row` exactly). `k` ascends and `a_row[k] == 0.0` terms
-/// are skipped, mirroring [`Matrix::matmul_naive`] term by term.
-#[inline]
-fn mm_row_into(a_row: &[f64], b: &[f64], p: usize, out_row: &mut [f64], bias: Option<&[f64]>) {
+/// One output row `out_row = Σ_k av_k · B[k][·]`, over the `(k, av_k)`
+/// terms in ascending `k`, with an optional fused bias added after the
+/// whole sum (matching `matmul` + `add_row` exactly). `av_k == 0.0` terms
+/// are skipped, like the naive loop. Full-width tiles take a fixed-width
+/// path the compiler unrolls; only a ragged last tile takes the
+/// variable-width one.
+#[inline(always)]
+fn mm_row_into(
+    terms: impl Iterator<Item = (usize, f64)> + Clone,
+    b: &[f64],
+    p: usize,
+    out_row: &mut [f64],
+    bias: Option<&[f64]>,
+) {
     let mut j0 = 0;
     while j0 < p {
         let w = TILE.min(p - j0);
         let mut acc = [0.0f64; TILE];
         if w == TILE {
-            // Hot path: fixed-width tile, fully unrollable.
-            for (k, &av) in a_row.iter().enumerate() {
+            for (k, av) in terms.clone() {
                 if av == 0.0 {
                     continue;
                 }
@@ -42,7 +60,7 @@ fn mm_row_into(a_row: &[f64], b: &[f64], p: usize, out_row: &mut [f64], bias: Op
                 }
             }
         } else {
-            for (k, &av) in a_row.iter().enumerate() {
+            for (k, av) in terms.clone() {
                 if av == 0.0 {
                     continue;
                 }
@@ -68,29 +86,78 @@ fn mm_row_into(a_row: &[f64], b: &[f64], p: usize, out_row: &mut [f64], bias: Op
     }
 }
 
-/// One output row of `Aᵀ · B` without materializing `Aᵀ`: row `i` of the
-/// product reads column `i` of `A` (stride `m`). Accumulation order and
-/// the zero-skip match `A.transpose().matmul_naive(B)` exactly.
-#[inline]
-fn mm_at_row_into(a: &[f64], m: usize, i: usize, b: &[f64], p: usize, out_row: &mut [f64]) {
-    let n = a.len() / m;
-    let mut j0 = 0;
-    while j0 < p {
-        let w = TILE.min(p - j0);
-        let mut acc = [0.0f64; TILE];
-        for k in 0..n {
-            let av = a[k * m + i];
-            if av == 0.0 {
-                continue;
+/// One whole-matrix kernel call: the unit [`dispatch`] hands to a build,
+/// so the feature check and the target-feature boundary are crossed once
+/// per matrix, not once per row.
+enum Kernel<'a> {
+    /// `out = A · B (+ bias)`, `A` holding whole rows of width `m`.
+    Rows {
+        a: &'a [f64],
+        m: usize,
+        b: &'a [f64],
+        p: usize,
+        bias: Option<&'a [f64]>,
+        out: &'a mut [f64],
+    },
+    /// `out = Aᵀ · B` for an `n × m` matrix `A`: row `i` of the product
+    /// reads column `i` of `A`, so `Aᵀ` is never materialized.
+    TransposeA {
+        a: &'a [f64],
+        m: usize,
+        b: &'a [f64],
+        p: usize,
+        out: &'a mut [f64],
+    },
+}
+
+impl Kernel<'_> {
+    /// The portable body, also the body of every feature-specific build.
+    #[inline(always)]
+    fn run(self) {
+        match self {
+            Kernel::Rows {
+                a,
+                m,
+                b,
+                p,
+                bias,
+                out,
+            } => {
+                for (a_row, out_row) in a.chunks_exact(m).zip(out.chunks_exact_mut(p)) {
+                    mm_row_into(a_row.iter().copied().enumerate(), b, p, out_row, bias);
+                }
             }
-            let br = &b[k * p + j0..k * p + j0 + w];
-            for (ac, &bv) in acc[..w].iter_mut().zip(br) {
-                *ac += av * bv;
+            Kernel::TransposeA { a, m, b, p, out } => {
+                for (i, out_row) in out.chunks_exact_mut(p).enumerate() {
+                    let column = a[i..].iter().copied().step_by(m).enumerate();
+                    mm_row_into(column, b, p, out_row, None);
+                }
             }
         }
-        out_row[j0..j0 + w].copy_from_slice(&acc[..w]);
-        j0 += w;
     }
+}
+
+/// [`Kernel::run`] compiled with AVX2 enabled (and FMA not).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn run_avx2(kernel: Kernel<'_>) {
+    kernel.run();
+}
+
+/// Runs `kernel` on the widest build this CPU supports. Both builds
+/// return the same bits; only their speed differs.
+fn dispatch(kernel: Kernel<'_>) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `run_avx2` requires only that the CPU supports AVX2,
+        // which `is_x86_feature_detected!` has just confirmed.
+        #[allow(unsafe_code)]
+        unsafe {
+            run_avx2(kernel);
+        }
+        return;
+    }
+    kernel.run();
 }
 
 /// A dense `rows × cols` matrix of `f64`, row-major.
@@ -108,7 +175,7 @@ impl Matrix {
     ///
     /// Panics if either dimension is zero.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        debug_assert!(rows > 0 && cols > 0, "matrix dimensions must be positive");
+        require(rows > 0 && cols > 0, "matrix dimensions must be positive");
         Self {
             rows,
             cols,
@@ -122,8 +189,8 @@ impl Matrix {
     ///
     /// Panics if `data.len() != rows * cols`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        debug_assert_eq!(data.len(), rows * cols, "data length mismatch");
-        debug_assert!(rows > 0 && cols > 0, "matrix dimensions must be positive");
+        require(data.len() == rows * cols, "data length mismatch");
+        require(rows > 0 && cols > 0, "matrix dimensions must be positive");
         Self { rows, cols, data }
     }
 
@@ -133,12 +200,12 @@ impl Matrix {
     ///
     /// Panics if rows are empty or ragged.
     pub fn from_rows(rows: &[&[f64]]) -> Self {
-        debug_assert!(!rows.is_empty(), "need at least one row");
+        require(!rows.is_empty(), "need at least one row");
         let cols = rows[0].len();
-        debug_assert!(cols > 0, "rows must be non-empty");
+        require(cols > 0, "rows must be non-empty");
         let mut data = Vec::with_capacity(rows.len() * cols);
         for r in rows {
-            debug_assert_eq!(r.len(), cols, "ragged rows");
+            require(r.len() == cols, "ragged rows");
             data.extend_from_slice(r);
         }
         Self {
@@ -201,13 +268,13 @@ impl Matrix {
     }
 
     /// Matrix product `self · rhs` through the register-tiled kernel.
-    /// Bit-identical to [`Self::matmul_naive`].
+    /// Bit-identical to the naive triple loop.
     ///
     /// # Panics
     ///
     /// Panics if inner dimensions disagree.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        debug_assert_eq!(self.cols, rhs.rows, "inner dimensions must agree");
+        require(self.cols == rhs.rows, "inner dimensions must agree");
         let mut out = Matrix::zeros(self.rows, rhs.cols);
         self.matmul_into(rhs, &mut out);
         out
@@ -219,16 +286,7 @@ impl Matrix {
     ///
     /// Panics if inner dimensions disagree or `out` has the wrong shape.
     pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        debug_assert_eq!(self.cols, rhs.rows, "inner dimensions must agree");
-        debug_assert_eq!(
-            (out.rows, out.cols),
-            (self.rows, rhs.cols),
-            "output shape mismatch"
-        );
-        let p = rhs.cols;
-        for (i, out_row) in out.data.chunks_mut(p).enumerate() {
-            mm_row_into(self.row(i), &rhs.data, p, out_row, None);
-        }
+        self.mm_rows_into(rhs, None, out);
     }
 
     /// Fused `self · rhs + bias` (bias broadcast over rows), into a
@@ -240,17 +298,26 @@ impl Matrix {
     ///
     /// Panics on any shape mismatch.
     pub fn matmul_bias_into(&self, rhs: &Matrix, bias: &[f64], out: &mut Matrix) {
-        debug_assert_eq!(self.cols, rhs.rows, "inner dimensions must agree");
-        debug_assert_eq!(bias.len(), rhs.cols, "bias length mismatch");
-        debug_assert_eq!(
-            (out.rows, out.cols),
-            (self.rows, rhs.cols),
-            "output shape mismatch"
+        require(bias.len() == rhs.cols, "bias length mismatch");
+        self.mm_rows_into(rhs, Some(bias), out);
+    }
+
+    /// Shape checks and dispatch shared by [`Self::matmul_into`] and
+    /// [`Self::matmul_bias_into`].
+    fn mm_rows_into(&self, rhs: &Matrix, bias: Option<&[f64]>, out: &mut Matrix) {
+        require(self.cols == rhs.rows, "inner dimensions must agree");
+        require(
+            (out.rows, out.cols) == (self.rows, rhs.cols),
+            "output shape mismatch",
         );
-        let p = rhs.cols;
-        for (i, out_row) in out.data.chunks_mut(p).enumerate() {
-            mm_row_into(self.row(i), &rhs.data, p, out_row, Some(bias));
-        }
+        dispatch(Kernel::Rows {
+            a: &self.data,
+            m: self.cols,
+            b: &rhs.data,
+            p: rhs.cols,
+            bias,
+            out: &mut out.data,
+        });
     }
 
     /// `selfᵀ · rhs` without materializing the transpose, into a
@@ -261,16 +328,18 @@ impl Matrix {
     ///
     /// Panics on any shape mismatch.
     pub fn matmul_transpose_a_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        debug_assert_eq!(self.rows, rhs.rows, "inner dimensions must agree");
-        debug_assert_eq!(
-            (out.rows, out.cols),
-            (self.cols, rhs.cols),
-            "output shape mismatch"
+        require(self.rows == rhs.rows, "inner dimensions must agree");
+        require(
+            (out.rows, out.cols) == (self.cols, rhs.cols),
+            "output shape mismatch",
         );
-        let p = rhs.cols;
-        for (i, out_row) in out.data.chunks_mut(p).enumerate() {
-            mm_at_row_into(&self.data, self.cols, i, &rhs.data, p, out_row);
-        }
+        dispatch(Kernel::TransposeA {
+            a: &self.data,
+            m: self.cols,
+            b: &rhs.data,
+            p: rhs.cols,
+            out: &mut out.data,
+        });
     }
 
     /// `selfᵀ · rhs`, allocating the output.
@@ -292,7 +361,7 @@ impl Matrix {
     ///
     /// Panics on any shape mismatch.
     pub fn matmul_transpose_b_into(&self, rhs: &Matrix, scratch: &mut Matrix, out: &mut Matrix) {
-        debug_assert_eq!(self.cols, rhs.cols, "inner dimensions must agree");
+        require(self.cols == rhs.cols, "inner dimensions must agree");
         rhs.transpose_into(scratch);
         self.matmul_into(scratch, out);
     }
@@ -303,7 +372,7 @@ impl Matrix {
     ///
     /// Panics if the column counts disagree.
     pub fn matmul_transpose_b(&self, rhs: &Matrix) -> Matrix {
-        debug_assert_eq!(self.cols, rhs.cols, "inner dimensions must agree");
+        require(self.cols == rhs.cols, "inner dimensions must agree");
         let mut scratch = Matrix::zeros(rhs.cols, rhs.rows);
         let mut out = Matrix::zeros(self.rows, rhs.rows);
         self.matmul_transpose_b_into(rhs, &mut scratch, &mut out);
@@ -315,93 +384,39 @@ impl Matrix {
     /// of `self`, so the result is bit-identical to [`Self::matmul`] at
     /// any thread count; `threads <= 1` runs inline with no
     /// synchronization (the same ordered fork-join discipline as
-    /// `pipette::parallel::ordered_map`).
+    /// `pipette::parallel::ordered_map`). Each worker owns a disjoint,
+    /// contiguous block of output rows, so the partition never affects
+    /// the bits.
     ///
     /// # Panics
     ///
     /// Panics if inner dimensions disagree.
     pub fn matmul_parallel(&self, rhs: &Matrix, threads: usize) -> Matrix {
-        debug_assert_eq!(self.cols, rhs.rows, "inner dimensions must agree");
+        require(self.cols == rhs.rows, "inner dimensions must agree");
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        self.mm_threaded(rhs, None, &mut out, threads);
-        out
-    }
-
-    /// Fused `self · rhs + bias` into a caller-provided buffer with output
-    /// rows split over up to `threads` workers. Bit-identical to
-    /// [`Self::matmul_bias_into`] at any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any shape mismatch.
-    pub fn matmul_bias_into_threaded(
-        &self,
-        rhs: &Matrix,
-        bias: &[f64],
-        out: &mut Matrix,
-        threads: usize,
-    ) {
-        debug_assert_eq!(self.cols, rhs.rows, "inner dimensions must agree");
-        debug_assert_eq!(bias.len(), rhs.cols, "bias length mismatch");
-        debug_assert_eq!(
-            (out.rows, out.cols),
-            (self.rows, rhs.cols),
-            "output shape mismatch"
-        );
-        self.mm_threaded(rhs, Some(bias), out, threads);
-    }
-
-    /// Row-split driver shared by the threaded kernels. Each worker owns a
-    /// disjoint, contiguous block of output rows, so the partition never
-    /// affects the bits.
-    fn mm_threaded(&self, rhs: &Matrix, bias: Option<&[f64]>, out: &mut Matrix, threads: usize) {
-        let p = rhs.cols;
-        let m = self.cols;
+        let (m, p) = (self.cols, rhs.cols);
         let workers = threads.clamp(1, self.rows);
-        if workers <= 1 {
-            for (i, out_row) in out.data.chunks_mut(p).enumerate() {
-                mm_row_into(&self.data[i * m..(i + 1) * m], &rhs.data, p, out_row, bias);
-            }
-            return;
-        }
         let rows_per = self.rows.div_ceil(workers);
-        let a = &self.data;
-        let b = &rhs.data;
-        std::thread::scope(|scope| {
-            for (ci, out_chunk) in out.data.chunks_mut(rows_per * p).enumerate() {
-                scope.spawn(move || {
-                    let row0 = ci * rows_per;
-                    for (r, out_row) in out_chunk.chunks_mut(p).enumerate() {
-                        let i = row0 + r;
-                        mm_row_into(&a[i * m..(i + 1) * m], b, p, out_row, bias);
-                    }
-                });
-            }
+        let blocks = self
+            .data
+            .chunks(rows_per * m)
+            .zip(out.data.chunks_mut(rows_per * p));
+        let kernels = blocks.map(|(a, out)| Kernel::Rows {
+            a,
+            m,
+            b: &rhs.data,
+            p,
+            bias: None,
+            out,
         });
-    }
-
-    /// The reference matmul: the crate's original scalar triple loop,
-    /// kept verbatim as the ground truth the blocked/parallel kernels are
-    /// property-tested against (`tests/kernels.rs`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if inner dimensions disagree.
-    pub fn matmul_naive(&self, rhs: &Matrix) -> Matrix {
-        debug_assert_eq!(self.cols, rhs.rows, "inner dimensions must agree");
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
+        if workers <= 1 {
+            kernels.for_each(dispatch);
+        } else {
+            std::thread::scope(|scope| {
+                for kernel in kernels {
+                    scope.spawn(move || dispatch(kernel));
                 }
-                let lhs_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (o, &b) in out_row.iter_mut().zip(lhs_row) {
-                    *o += a * b;
-                }
-            }
+            });
         }
         out
     }
@@ -419,10 +434,9 @@ impl Matrix {
     ///
     /// Panics if `out` has the wrong shape.
     pub fn transpose_into(&self, out: &mut Matrix) {
-        debug_assert_eq!(
-            (out.rows, out.cols),
-            (self.cols, self.rows),
-            "output shape mismatch"
+        require(
+            (out.rows, out.cols) == (self.cols, self.rows),
+            "output shape mismatch",
         );
         for r in 0..self.rows {
             for c in 0..self.cols {
@@ -437,7 +451,7 @@ impl Matrix {
     ///
     /// Panics if `bias.len() != cols`.
     pub fn add_row(&mut self, bias: &[f64]) {
-        debug_assert_eq!(bias.len(), self.cols, "bias length mismatch");
+        require(bias.len() == self.cols, "bias length mismatch");
         for row in self.data.chunks_mut(self.cols) {
             for (cell, b) in row.iter_mut().zip(bias) {
                 *cell += b;
@@ -459,7 +473,7 @@ impl Matrix {
     ///
     /// Panics if `out.len() != cols`.
     pub fn col_sums_into(&self, out: &mut [f64]) {
-        debug_assert_eq!(out.len(), self.cols, "output length mismatch");
+        require(out.len() == self.cols, "output length mismatch");
         out.iter_mut().for_each(|v| *v = 0.0);
         for row in self.data.chunks(self.cols) {
             for (acc, cell) in out.iter_mut().zip(row) {
@@ -483,10 +497,9 @@ impl Matrix {
     ///
     /// Panics if shapes differ.
     pub fn zip(&self, rhs: &Matrix, f: impl Fn(f64, f64) -> f64) -> Matrix {
-        debug_assert_eq!(
-            (self.rows, self.cols),
-            (rhs.rows, rhs.cols),
-            "shape mismatch"
+        require(
+            (self.rows, self.cols) == (rhs.rows, rhs.cols),
+            "shape mismatch",
         );
         Matrix {
             rows: self.rows,
@@ -506,7 +519,7 @@ impl Matrix {
     ///
     /// Panics if `indices` is empty or contains an out-of-range row.
     pub fn select_rows(&self, indices: &[usize]) -> Matrix {
-        debug_assert!(!indices.is_empty(), "need at least one row");
+        require(!indices.is_empty(), "need at least one row");
         let mut data = Vec::with_capacity(indices.len() * self.cols);
         for &i in indices {
             data.extend_from_slice(self.row(i));
@@ -526,8 +539,8 @@ impl Matrix {
     /// Panics if `out.rows() != indices.len()`, widths differ, or an
     /// index is out of range.
     pub fn gather_rows_into(&self, indices: &[usize], out: &mut Matrix) {
-        debug_assert_eq!(out.rows, indices.len(), "output row count mismatch");
-        debug_assert_eq!(out.cols, self.cols, "output width mismatch");
+        require(out.rows == indices.len(), "output row count mismatch");
+        require(out.cols == self.cols, "output width mismatch");
         for (&i, out_row) in indices.iter().zip(out.data.chunks_mut(self.cols)) {
             out_row.copy_from_slice(self.row(i));
         }
@@ -558,7 +571,6 @@ mod tests {
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
         let c = a.matmul(&b);
         assert_eq!(c, Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]));
-        assert_eq!(c, a.matmul_naive(&b));
     }
 
     #[test]
@@ -628,6 +640,93 @@ mod tests {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
         a.matmul(&b);
+    }
+
+    /// Values that stress the kernels: exact zeros (the skip predicate),
+    /// subnormals, infinities and ordinary numbers.
+    fn awkward_matrix(rows: usize, cols: usize, rng: &mut rand_chacha::ChaCha8Rng) -> Matrix {
+        use rand::Rng;
+        let data = (0..rows * cols)
+            .map(|_| match rng.gen_range(0u32..10) {
+                0 | 1 => 0.0,
+                2 => f64::MIN_POSITIVE * rng.gen_range(-1.0..1.0),
+                3 if rng.gen_range(0u32..20) == 0 => f64::INFINITY,
+                _ => rng.gen_range(-4.0..4.0),
+            })
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    fn assert_same_bits(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {i}: {g} vs {w}");
+        }
+    }
+
+    /// The public kernels go through `dispatch`, which takes the AVX2
+    /// build on a CPU that has it; `Kernel::run` called directly is the
+    /// portable build. Both must return the same bits, on shapes that
+    /// straddle the tile width (full tiles, ragged tails, a single
+    /// column).
+    #[test]
+    fn portable_body_matches_dispatched_kernels() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(15);
+        for (n, m, p) in [
+            (1, 1, 1),
+            (3, 31, 47),
+            (5, 48, 48),
+            (4, 65, 97),
+            (2, 64, 49),
+            (9, 7, 96),
+        ] {
+            let a = awkward_matrix(n, m, &mut rng);
+            let b = awkward_matrix(m, p, &mut rng);
+            let bias: Vec<f64> = (0..p).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let shape = format!("{n}x{m}x{p}");
+
+            let mut want = vec![0.0; n * p];
+            Kernel::Rows {
+                a: a.as_slice(),
+                m,
+                b: b.as_slice(),
+                p,
+                bias: None,
+                out: &mut want,
+            }
+            .run();
+            assert_same_bits(a.matmul(&b).as_slice(), &want, &format!("rows {shape}"));
+
+            let mut fused = Matrix::zeros(n, p);
+            a.matmul_bias_into(&b, &bias, &mut fused);
+            Kernel::Rows {
+                a: a.as_slice(),
+                m,
+                b: b.as_slice(),
+                p,
+                bias: Some(&bias),
+                out: &mut want,
+            }
+            .run();
+            assert_same_bits(fused.as_slice(), &want, &format!("fused bias {shape}"));
+
+            // Aᵀ·B for an m×n A and an m×p B (so the product is n×p).
+            let at = awkward_matrix(m, n, &mut rng);
+            Kernel::TransposeA {
+                a: at.as_slice(),
+                m: n,
+                b: b.as_slice(),
+                p,
+                out: &mut want,
+            }
+            .run();
+            assert_same_bits(
+                at.matmul_transpose_a(&b).as_slice(),
+                &want,
+                &format!("transpose-a {shape}"),
+            );
+        }
     }
 
     proptest! {

@@ -2,16 +2,17 @@
 //!
 //! Two training entry points exist. [`Mlp::fit`] is the fast path: it
 //! preallocates every minibatch/activation/gradient buffer once and runs
-//! the whole loop allocation-free through the blocked matmul kernels.
-//! [`Mlp::fit_reference`] is the crate's original loop (fresh matrices
-//! every step, naive kernel), kept verbatim as the ground truth: the two
-//! produce **bit-identical** weights, losses, and RNG streams (see
-//! `tests/kernels.rs`), so the fast path is a pure speedup, not a
-//! numerical change.
+//! the whole loop allocation-free through the fused and transposed
+//! matmul kernels. [`Mlp::fit_reference`] is the crate's original loop
+//! (fresh matrices every step, materialized transposes), kept verbatim as
+//! the ground truth: the two produce **bit-identical** weights, losses,
+//! and RNG streams (see `tests/kernels.rs`), so the fast path is a pure
+//! speedup, not a numerical change.
 
 use crate::layer::{Dense, DenseGrads};
 use crate::matrix::Matrix;
 use crate::optim::Adam;
+use crate::require;
 use crate::train::{TrainConfig, TrainReport};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -32,7 +33,7 @@ impl Mlp {
     ///
     /// Panics if fewer than two widths are given or any width is zero.
     pub fn new(widths: &[usize], seed: u64) -> Self {
-        debug_assert!(widths.len() >= 2, "need at least input and output widths");
+        require(widths.len() >= 2, "need at least input and output widths");
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let n = widths.len() - 1;
         let layers = (0..n)
@@ -54,8 +55,12 @@ impl Mlp {
 
     /// Reassembles a network from persisted layers (the binary-snapshot
     /// deserialization path).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layers` is empty.
     pub fn from_layers(layers: Vec<Dense>) -> Self {
-        debug_assert!(!layers.is_empty(), "a network needs at least one layer");
+        require(!layers.is_empty(), "a network needs at least one layer");
         Self { layers }
     }
 
@@ -93,7 +98,7 @@ impl Mlp {
     ///
     /// Panics if `x.cols() != in_dim()`.
     pub fn predict_with_threads(&self, x: &Matrix, threads: usize) -> Matrix {
-        debug_assert_eq!(x.cols(), self.in_dim(), "input width mismatch");
+        require(x.cols() == self.in_dim(), "input width mismatch");
         let mut h = x.clone();
         for l in &self.layers {
             h = l.infer_threaded(&h, threads);
@@ -153,37 +158,20 @@ impl Mlp {
     /// activation/gradient scratch, and the flattened parameter vector
     /// are built once and reused for every iteration. Bit-identical to
     /// [`Self::fit_reference`] (same RNG stream, same arithmetic order).
+    /// Runs on the calling thread: at the estimator's sizes a thread
+    /// spawn per matmul cost more than it saved (DESIGN.md §7c).
     ///
     /// # Panics
     ///
     /// Panics if `x` and `y` disagree on row count or widths mismatch the
     /// network.
     pub fn fit(&mut self, x: &Matrix, y: &Matrix, config: &TrainConfig) -> TrainReport {
-        self.fit_with_threads(x, y, config, 1)
-    }
-
-    /// [`Self::fit`] with the forward matmuls split over up to `threads`
-    /// row blocks. Rows are independent, so results are bit-identical at
-    /// any thread count; `threads <= 1` runs fully inline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` and `y` disagree on row count or widths mismatch the
-    /// network.
-    pub fn fit_with_threads(
-        &mut self,
-        x: &Matrix,
-        y: &Matrix,
-        config: &TrainConfig,
-        threads: usize,
-    ) -> TrainReport {
-        debug_assert_eq!(
-            x.rows(),
-            y.rows(),
-            "x and y must have the same number of rows"
+        require(
+            x.rows() == y.rows(),
+            "x and y must have the same number of rows",
         );
-        debug_assert_eq!(x.cols(), self.in_dim(), "input width mismatch");
-        debug_assert_eq!(y.cols(), self.out_dim(), "output width mismatch");
+        require(x.cols() == self.in_dim(), "input width mismatch");
+        require(y.cols() == self.out_dim(), "output width mismatch");
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
         let mut opt = Adam::new(self.num_params(), config.learning_rate);
         let batch = config.batch_size.min(x.rows()).max(1);
@@ -253,7 +241,7 @@ impl Mlp {
                 let (done, rest) = acts.split_at_mut(l);
                 let inp: &Matrix = if l == 0 { cx } else { &done[l - 1] };
                 let layer = &self.layers[l];
-                inp.matmul_bias_into_threaded(&layer.weights, &layer.bias, &mut pres[l], threads);
+                inp.matmul_bias_into(&layer.weights, &layer.bias, &mut pres[l]);
                 let act = &mut rest[0];
                 if layer.relu {
                     for (a, &p) in act.as_mut_slice().iter_mut().zip(pres[l].as_slice()) {
@@ -343,8 +331,8 @@ impl Mlp {
     }
 
     /// The crate's original training loop, kept verbatim (fresh matrices
-    /// every iteration, naive matmul through [`Dense::forward`] /
-    /// [`Dense::backward`]). Ground truth for the equivalence tests and
+    /// every iteration, plain matmul and materialized transposes through
+    /// [`Dense::forward`] / [`Dense::backward`]). Ground truth for the equivalence tests and
     /// the honest baseline for the `mlp_throughput` bench.
     ///
     /// # Panics
@@ -352,13 +340,12 @@ impl Mlp {
     /// Panics if `x` and `y` disagree on row count or widths mismatch the
     /// network.
     pub fn fit_reference(&mut self, x: &Matrix, y: &Matrix, config: &TrainConfig) -> TrainReport {
-        debug_assert_eq!(
-            x.rows(),
-            y.rows(),
-            "x and y must have the same number of rows"
+        require(
+            x.rows() == y.rows(),
+            "x and y must have the same number of rows",
         );
-        debug_assert_eq!(x.cols(), self.in_dim(), "input width mismatch");
-        debug_assert_eq!(y.cols(), self.out_dim(), "output width mismatch");
+        require(x.cols() == self.in_dim(), "input width mismatch");
+        require(y.cols() == self.out_dim(), "output width mismatch");
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
         let mut opt = Adam::new(self.num_params(), config.learning_rate);
         let batch = config.batch_size.min(x.rows()).max(1);
@@ -485,23 +472,6 @@ mod tests {
             assert_eq!(rf.loss_curve, rs.loss_curve, "batch {batch_size}");
             assert_eq!(fast, slow, "batch {batch_size}");
         }
-    }
-
-    #[test]
-    fn fit_threads_invariant() {
-        let x = Matrix::from_rows(&[&[0.0], &[0.5], &[1.0], &[1.5], &[2.0]]);
-        let y = x.map(|v| v * v);
-        let cfg = TrainConfig {
-            iterations: 150,
-            batch_size: 3,
-            ..TrainConfig::default()
-        };
-        let mut one = Mlp::new(&[1, 16, 1], 2);
-        let mut eight = Mlp::new(&[1, 16, 1], 2);
-        let r1 = one.fit_with_threads(&x, &y, &cfg, 1);
-        let r8 = eight.fit_with_threads(&x, &y, &cfg, 8);
-        assert_eq!(r1.final_loss, r8.final_loss);
-        assert_eq!(one, eight);
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! The Adam optimizer.
 
+use crate::require;
+
 /// Adam state for one flat parameter vector.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Adam {
@@ -24,8 +26,8 @@ impl Adam {
     ///
     /// Panics if `n == 0` or `learning_rate <= 0`.
     pub fn new(n: usize, learning_rate: f64) -> Self {
-        debug_assert!(n > 0, "optimizer needs at least one parameter");
-        debug_assert!(learning_rate > 0.0, "learning rate must be positive");
+        require(n > 0, "optimizer needs at least one parameter");
+        require(learning_rate > 0.0, "learning rate must be positive");
         Self {
             learning_rate,
             beta1: 0.9,
@@ -48,8 +50,8 @@ impl Adam {
     ///
     /// Panics if the slices do not match the optimizer's parameter count.
     pub fn step(&mut self, params: &mut [f64], grads: &[f64]) {
-        debug_assert_eq!(params.len(), self.m.len(), "parameter count mismatch");
-        debug_assert_eq!(grads.len(), self.m.len(), "gradient count mismatch");
+        require(params.len() == self.m.len(), "parameter count mismatch");
+        require(grads.len() == self.m.len(), "gradient count mismatch");
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);

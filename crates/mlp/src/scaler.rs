@@ -5,6 +5,7 @@
 //! MLP extrapolate from ≤ 4-node profiles to 16-node clusters.
 
 use crate::matrix::Matrix;
+use crate::require;
 
 /// Per-column affine normalizer: `x' = (x - mean) / std`.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,8 +48,12 @@ impl StandardScaler {
 
     /// Reassembles a scaler from persisted per-column statistics (the
     /// binary-snapshot deserialization path).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `means` and `stds` differ in length.
     pub fn from_parts(means: Vec<f64>, stds: Vec<f64>) -> Self {
-        debug_assert_eq!(means.len(), stds.len(), "column count mismatch");
+        require(means.len() == stds.len(), "column count mismatch");
         Self { means, stds }
     }
 
@@ -74,7 +79,7 @@ impl StandardScaler {
     ///
     /// Panics if the column count differs from the fitted data.
     pub fn transform(&self, x: &Matrix) -> Matrix {
-        debug_assert_eq!(x.cols(), self.means.len(), "feature count mismatch");
+        require(x.cols() == self.means.len(), "feature count mismatch");
         let mut out = x.clone();
         for r in 0..out.rows() {
             for c in 0..out.cols() {
@@ -90,7 +95,7 @@ impl StandardScaler {
     ///
     /// Panics if the column count differs from the fitted data.
     pub fn inverse_transform(&self, x: &Matrix) -> Matrix {
-        debug_assert_eq!(x.cols(), self.means.len(), "feature count mismatch");
+        require(x.cols() == self.means.len(), "feature count mismatch");
         let mut out = x.clone();
         for r in 0..out.rows() {
             for c in 0..out.cols() {
